@@ -6,8 +6,9 @@ general claim, so this table is the empirical record.
 
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from domgame.engine import DOM, SEPY, GameConfig
 from domgame.graphs import gen_cycle
@@ -20,13 +21,13 @@ def main():
         g = gen_cycle(n)
         row = [f"{n:>3}"]
         nodes = 0
-        t0 = time.time()
+        t0 = time.perf_counter()
         for starter in (DOM, SEPY):
             res = solve(GameConfig(variant="ddg", starter=starter), g)
             row.append(f"{res.winner:>10}")
             nodes += res.nodes
         row.append(f"{nodes:>9}")
-        row.append(f"{time.time() - t0:>6.2f}")
+        row.append(f"{time.perf_counter() - t0:>6.2f}")
         print(" ".join(row))
 
 

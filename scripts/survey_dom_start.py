@@ -7,8 +7,9 @@ necessary, and this sweep shows exactly how far it reaches at small orders.
 
 import sys
 from collections import Counter
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from domgame.engine import DOM, GameConfig
 from domgame.formats import emit_graph6

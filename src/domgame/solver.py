@@ -2,7 +2,12 @@
 
 ``solve`` runs a memoized win/lose search over the raw position (coloring
 masks plus turn bookkeeping); games of this family always end with a winner,
-so no scores are needed and the first winning child cuts the branch.
+so no scores are needed and the first winning child cuts the branch.  Each
+position is expanded once into plain tuples; a child that wins on the spot
+for the mover is taken before any open child is searched, and the open ones
+are then searched in canonical order.  A win/lose value does not depend on
+that order, and the best move and PV are still the first child in canonical
+order with the right value.
 
 ``verify_strategy`` walks the full game tree with one side pinned to a
 strategy and the other ranging over every legal move (passes included); it
@@ -20,7 +25,6 @@ from dataclasses import dataclass
 
 from . import engine
 from .engine import (
-    BDG,
     BLUE,
     DDG,
     DOM,
@@ -47,6 +51,10 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveResult:
+    """``nodes`` counts the positions the search expanded.  It depends on
+    the search order and pruning, so it is not comparable across versions
+    of the solver."""
+
     winner: str
     best_move: Move | None
     nodes: int
@@ -118,21 +126,19 @@ class _Solver:
         self.entry_cap = entry_cap
         self.memo: dict[int, str] = {}
         self.nodes = 0
-        self.dom_colors = config.allowed_colors(DOM)
-        self.sepy_colors = config.allowed_colors(SEPY)
+        self.ddg = config.variant == DDG
+        self.colors = {DOM: config.allowed_colors(DOM), SEPY: config.allowed_colors(SEPY)}
+        self.caps = {DOM: config.d, SEPY: config.s}
 
     # -- rule primitives on raw masks --------------------------------------
 
-    def _colors_of(self, actor):
-        return self.dom_colors if actor == DOM else self.sepy_colors
-
     def _has_select(self, vp, vb, dp, db, actor):
         undom = 0
-        for c in self._colors_of(actor):
-            undom |= self.full & ~(dp if c == PURPLE else db)
-        unc = self.full & ~(vp | vb)
-        for v in bits(unc):
-            if self.closed[v] & undom:
+        for c in self.colors[actor]:
+            undom |= ~(dp if c == PURPLE else db)
+        closed = self.closed
+        for v in bits(self.full & ~(vp | vb)):
+            if closed[v] & undom:
                 return True
         return False
 
@@ -154,7 +160,7 @@ class _Solver:
     def _resolve_incoming(self, vp, vb, dp, db, actor, moved):
         """(actor', sel', terminal_winner_or_None); skips stuck bicolored
         players and detects the bicolored end."""
-        if self.cfg.variant == DDG:
+        if self.ddg:
             return actor, 0, None
         if self._has_select(vp, vb, dp, db, actor):
             return actor, 0, None
@@ -163,58 +169,69 @@ class _Solver:
             return other, 0, None
         return actor, 0, DOM
 
-    def _select_children(self, vp, vb, dp, db, actor, sel, moved):
-        """Ordered (move, child) pairs; child is (vp, vb, dp, db, actor, sel,
-        moved, winner_or_None)."""
+    def _expand(self, vp, vb, dp, db, actor, sel, moved):
+        """The children in canonical order (vertex ascending, the actor's
+        colors in order, the pass last) as (vertex, color, child) tuples;
+        vertex and color are None for the pass, and child is (vp, vb, dp,
+        db, actor, sel, moved, winner_or_None)."""
+        full = self.full
+        closed = self.closed
+        closed_verts = self.closed_verts
+        ddg = self.ddg
+        other = other_player(actor)
+        nsel = sel + 1
+        may_continue = nsel < self.caps[actor]
+        colors = self.colors[actor]
         out = []
-        cfg = self.cfg
-        unc = self.full & ~(vp | vb)
-        cols = self._colors_of(actor)
-        for v in bits(unc):
+        for v in bits(full & ~(vp | vb)):
             cbit = 1 << v
-            for c in cols:
-                dmask = dp if c == PURPLE else db
-                if not self.closed[v] & self.full & ~dmask:
-                    continue
-                nvp, nvb = (vp | cbit, vb) if c == PURPLE else (vp, vb | cbit)
-                ndp, ndb = (dp | self.closed[v], db) if c == PURPLE else (dp, db | self.closed[v])
-                vcmask = nvp if c == PURPLE else nvb
+            nbhd = closed[v]
+            for c in colors:
+                if c == PURPLE:
+                    if not nbhd & ~dp:
+                        continue
+                    nvp, nvb, ndp, ndb = vp | cbit, vb, dp | nbhd, db
+                    vcmask = nvp
+                else:
+                    if not nbhd & ~db:
+                        continue
+                    nvp, nvb, ndp, ndb = vp, vb | cbit, dp, db | nbhd
+                    vcmask = nvb
                 winner = None
-                for u in self.closed_verts[v]:
-                    if not self.closed[u] & self.full & ~vcmask:
+                for u in closed_verts[v]:
+                    if not closed[u] & ~vcmask:
                         winner = SEPY
                         break
-                nsel = sel + 1
-                nactor = actor
-                if winner is None and cfg.variant == DDG and ndp == self.full and ndb == self.full:
-                    winner = DOM
+                nactor, csel = actor, nsel
                 if winner is None:
-                    cap = cfg.d if actor == DOM else cfg.s
-                    if nsel < cap and self._has_select(nvp, nvb, ndp, ndb, actor):
+                    if ddg and ndp == full and ndb == full:
+                        winner = DOM
+                    elif may_continue and self._has_select(nvp, nvb, ndp, ndb, actor):
                         pass  # same actor continues the turn
+                    elif ddg:
+                        nactor, csel = other, 0
                     else:
-                        nactor, nsel, winner = self._resolve_incoming(
-                            nvp, nvb, ndp, ndb, other_player(actor), True
+                        nactor, csel, winner = self._resolve_incoming(
+                            nvp, nvb, ndp, ndb, other, True
                         )
-                out.append(
-                    (Move(v, c), (nvp, nvb, ndp, ndb, nactor, nsel, True, winner))
-                )
-        return out
-
-    def _children(self, vp, vb, dp, db, actor, sel, moved):
-        out = self._select_children(vp, vb, dp, db, actor, sel, moved)
+                out.append((v, c, (nvp, nvb, ndp, ndb, nactor, csel, True, winner)))
         child = self._pass_child(vp, vb, dp, db, actor, sel, moved)
         if child is not None:
             a2, s2, winner = child
-            out.append((PASS, (vp, vb, dp, db, a2, s2, moved, winner)))
+            out.append((None, None, (vp, vb, dp, db, a2, s2, moved, winner)))
         return out
+
+    def _children(self, vp, vb, dp, db, actor, sel, moved):
+        """Ordered (move, child) pairs, for the root and the PV walk."""
+        return [(PASS if v is None else Move(v, c), child)
+                for v, c, child in self._expand(vp, vb, dp, db, actor, sel, moved)]
 
     # -- search -------------------------------------------------------------
 
     def _key(self, vp, vb, actor, sel, moved):
         n = self.n
         k = vp | vb << n | (actor == DOM) << (2 * n) | sel << (2 * n + 1) | moved << (2 * n + 5)
-        if self.cfg.variant == DDG:
+        if self.ddg:
             k2 = vb | vp << n | (actor == DOM) << (2 * n) | sel << (2 * n + 1) | moved << (2 * n + 5)
             if k2 < k:
                 return k2
@@ -227,15 +244,20 @@ class _Solver:
             if hit is not None:
                 return hit
         self.nodes += 1
-        children = self._children(vp, vb, dp, db, actor, sel, moved)
+        children = self._expand(vp, vb, dp, db, actor, sel, moved)
         if not children:
             raise engine.EngineInvariantError("ongoing position with no moves")
+        # an immediate win ends the search; only then recurse, in order
         result = other_player(actor)
-        for _mv, (cvp, cvb, cdp, cdb, ca, cs, cm, winner) in children:
-            w = winner if winner is not None else self.value(cvp, cvb, cdp, cdb, ca, cs, cm)
-            if w == actor:
+        for _v, _c, child in children:
+            if child[7] == actor:
                 result = actor
                 break
+        else:
+            for _v, _c, (cvp, cvb, cdp, cdb, ca, cs, cm, winner) in children:
+                if winner is None and self.value(cvp, cvb, cdp, cdb, ca, cs, cm) == actor:
+                    result = actor
+                    break
         if self.use_memo:
             if len(self.memo) >= self.entry_cap:
                 raise ResourceLimitError(

@@ -177,11 +177,16 @@ def test_key_ignores_history_order():
 
 # --- memoization and limits --------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_memo_equivalence_small(n):
+    # pass rights and (2:1) reach the expander's pass and mid-turn branches
+    configs = (ddg(DOM), ddg(SEPY), bdg(DOM), bdg(SEPY), ddg(SEPY, pass_rights="sepy"),
+               ddg(DOM, pass_rights="dom"), ddg(DOM, d=2), ddg(SEPY, d=2))
     for g in enumerate_isolate_free_graphs(n):
-        for cfg in (ddg(DOM), ddg(SEPY), bdg(DOM), bdg(SEPY)):
-            assert solve(cfg, g).winner == solve(cfg, g, use_memo=False).winner
+        for cfg in configs:
+            memo, plain = solve(cfg, g), solve(cfg, g, use_memo=False)
+            assert (memo.winner, memo.best_move, memo.pv) == \
+                (plain.winner, plain.best_move, plain.pv), (cfg, g.edges())
 
 
 def test_vertex_cap_enforced():
@@ -228,14 +233,42 @@ def test_solver_children_match_engine_moves():
 
 
 def test_solver_agrees_with_playout_endings():
+    """At every prefix of random playouts, the actor wins exactly when some
+    engine child is won by the actor, on the spot or by solving it."""
     rng = random.Random(5)
-    g = gen_cycle(4)
-    for cfg in (ddg(DOM), bdg(DOM)):
-        state = new_game(cfg, g)
-        # solve from every prefix of a random playout stays consistent with
-        # the final result actually reached when both sides play the pv
-        res = solve(cfg, g, state)
-        assert res.winner in (DOM, SEPY)
+    configs = (ddg(DOM), ddg(SEPY, pass_rights="sepy"), ddg(DOM, d=2), bdg(DOM))
+    for g in (gen_cycle(4), gen_cycle(5), gen_path(4)):
+        for cfg in configs:
+            for _ in range(3):
+                state = new_game(cfg, g)
+                while state.status.ongoing:
+                    actor = state.actor
+                    children = [state.apply(mv) for mv in state.legal_moves()]
+                    actor_wins = any(
+                        (child.status.winner if not child.status.ongoing
+                         else solve(cfg, g, child).winner) == actor
+                        for child in children
+                    )
+                    assert (solve(cfg, g, state).winner == actor) == actor_wins, \
+                        (cfg, g.edges(), state.history)
+                    state = children[rng.randrange(len(children))]
+
+
+def _pv_text(pv):
+    return " ".join("pass" if mv.is_pass else f"{mv.vertex}{'pb'[mv.color]}" for mv in pv)
+
+
+@pytest.mark.parametrize("cfg, g, winner, pv", [
+    (ddg(DOM), gen_cycle(8), SEPY, "0p 1p 2p"),
+    (ddg(SEPY), gen_cycle(8), DOM, "0p 1b 2p 3b 4p 5p 6b"),
+    (ddg(SEPY, pass_rights="sepy"), disjoint_union(gen_cycle(4), gen_cycle(8)), SEPY,
+     "0p 1p 2b 3b pass 4p 5p 6p"),
+])
+def test_best_play_is_independent_of_search_order(cfg, g, winner, pv):
+    # pinned answers: best play is the first child in canonical order with
+    # the right value, whatever order the search tries children in
+    res = solve(cfg, g)
+    assert (res.winner, _pv_text(res.pv)) == (winner, pv)
 
 
 # --- verification ------------------------------------------------------------------------------
