@@ -1,4 +1,5 @@
-"""Survey the disjoint game on cycles: exact winner per length and starter.
+"""Survey the disjoint game on cycles: exact winner per length and starter,
+for every length up to the solver's default vertex cap.
 
 The long-cycle Dom-start games flip to Sepy; the small cases (3..7) carry no
 general claim, so this table is the empirical record.
@@ -12,12 +13,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from domgame.engine import DOM, SEPY, GameConfig
 from domgame.graphs import gen_cycle
-from domgame.solver import solve
+from domgame.solver import DEFAULT_VERTEX_CAP, solve
 
 
 def main():
     print(f"{'n':>3} {'dom-start':>10} {'sepy-start':>10} {'nodes':>9} {'sec':>6}")
-    for n in range(3, 13):
+    for n in range(3, DEFAULT_VERTEX_CAP + 1):
         g = gen_cycle(n)
         row = [f"{n:>3}"]
         nodes = 0

@@ -1,5 +1,6 @@
 """Graph core: immutable simple graphs, generators, components, edge
-subdivision, canonical forms and small-order enumeration up to isomorphism.
+subdivision, canonical forms, automorphisms and small-order enumeration up
+to isomorphism.
 
 Vertices are dense integer indices 0..n-1.  Adjacency is kept both as sorted
 tuples and as bitmasks; ``closed_mask[v]`` is N[v] (neighbors plus v itself),
@@ -336,6 +337,59 @@ def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
     search([], 0, [], True)
     assert best is not None
     return (n, tuple(best))
+
+
+def automorphisms(g: Graph, limit: int) -> list[tuple[int, ...]]:
+    """Up to ``limit`` non-identity automorphisms of g, as image tuples
+    (vertex v goes to ``img[v]``), in the order a depth-first search finds
+    them; all of them when the group has at most ``limit + 1`` elements.
+
+    Vertices are matched in breadth-first order, each to an unused vertex of
+    its WL class (a neighbor of its parent's image, past a component's first
+    vertex) whose adjacency to the vertices already placed agrees.  A
+    discrete WL coloring admits only the identity.
+    """
+    n = g.n
+    color = _wl_colors(g)
+    if limit <= 0 or len(set(color)) == n:
+        return []
+    order: list[int] = []
+    parent: dict[int, int] = {}
+    nbr = g.nbr_mask
+    for comp in g.component_masks():
+        head = len(order)
+        seen = comp & -comp
+        order.append(seen.bit_length() - 1)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for u in bits(nbr[v] & ~seen):
+                seen |= 1 << u
+                parent[u] = v
+                order.append(u)
+    img = [0] * n
+    found: list[tuple[int, ...]] = []
+
+    def extend(pos: int, placed: int, used: int) -> bool:
+        """Place order[pos:]; True once ``limit`` automorphisms are found."""
+        if pos == n:
+            if any(img[v] != v for v in range(n)):
+                found.append(tuple(img))
+            return len(found) >= limit
+        v = order[pos]
+        mapped = 0
+        for u in bits(nbr[v] & placed):
+            mapped |= 1 << img[u]
+        cands = nbr[img[parent[v]]] if v in parent else g.full_mask
+        for w in bits(cands & ~used):
+            if color[w] == color[v] and nbr[w] & used == mapped:
+                img[v] = w
+                if extend(pos + 1, placed | 1 << v, used | 1 << w):
+                    return True
+        return False
+
+    extend(0, 0, 0)
+    return found
 
 
 def graph_from_canonical(key: tuple[int, tuple[int, ...]]) -> Graph:

@@ -9,6 +9,19 @@ are then searched in canonical order.  A win/lose value does not depend on
 that order, and the best move and PV are still the first child in canonical
 order with the right value.
 
+The transposition table is keyed up to symmetry.  Once per solve the solver
+takes at most 2n automorphisms of the graph (``graphs.automorphisms``; 2n is
+the most children a node can have, so a key costs about one expansion), and
+a position's key is the least encoding of its coloring over the identity and
+these images, each also palette-swapped in the disjoint game; the turn bits
+are kept as they are.  The rules depend only on adjacency, and in the
+disjoint game both players may use both colors, so an automorphic image or
+a palette swap of a position has the same value.  Equal keys mean the two
+positions are images of each other, so any set of automorphisms gives sound
+keys; when the whole group fits in the 2n (C_n has exactly 2n), the key is
+canonical.  The unmemoized search computes no keys and no automorphisms and
+serves as the independent oracle.
+
 ``verify_strategy`` walks the full game tree with one side pinned to a
 strategy and the other ranging over every legal move (passes included); it
 either certifies the strategy or returns a counterexample playout.
@@ -38,7 +51,7 @@ from .engine import (
     other_player,
     trace_lines,
 )
-from .graphs import Graph, bits
+from .graphs import Graph, automorphisms, bits
 
 DEFAULT_VERTEX_CAP = 14
 DEFAULT_ENTRY_CAP = 20_000_000
@@ -52,8 +65,10 @@ class ResourceLimitError(RuntimeError):
 @dataclass(frozen=True)
 class SolveResult:
     """``nodes`` counts the positions the search expanded.  It depends on
-    the search order and pruning, so it is not comparable across versions
-    of the solver."""
+    the search order, the pruning and the symmetry folded into the memo
+    keys, so it is not comparable across versions of the solver, nor between
+    memoized and unmemoized solves.  ``best_move`` is the first move of
+    ``pv``."""
 
     winner: str
     best_move: Move | None
@@ -127,6 +142,10 @@ class _Solver:
         self.memo: dict[int, str] = {}
         self.nodes = 0
         self.ddg = config.variant == DDG
+        # a key scans at most 2n images, the most children a node can have
+        self.half = (self.n + 1) // 2
+        self.images = [_image_tables(img, self.half)
+                       for img in automorphisms(graph, 2 * self.n)] if use_memo else []
         self.colors = {DOM: config.allowed_colors(DOM), SEPY: config.allowed_colors(SEPY)}
         self.caps = {DOM: config.d, SEPY: config.s}
 
@@ -222,24 +241,39 @@ class _Solver:
         return out
 
     def _children(self, vp, vb, dp, db, actor, sel, moved):
-        """Ordered (move, child) pairs, for the root and the PV walk."""
+        """Ordered (move, child) pairs, for the PV walk."""
         return [(PASS if v is None else Move(v, c), child)
                 for v, c, child in self._expand(vp, vb, dp, db, actor, sel, moved)]
 
     # -- search -------------------------------------------------------------
 
     def _key(self, vp, vb, actor, sel, moved):
+        """The least encoding of (vp, vb) over the identity and the stored
+        automorphism images, each also palette-swapped in DDG, plus the turn
+        bits."""
         n = self.n
-        k = vp | vb << n | (actor == DOM) << (2 * n) | sel << (2 * n + 1) | moved << (2 * n + 5)
+        half = self.half
+        low = (1 << half) - 1
+        pl, ph, bl, bh = vp & low, vp >> half, vb & low, vb >> half
         if self.ddg:
-            k2 = vb | vp << n | (actor == DOM) << (2 * n) | sel << (2 * n + 1) | moved << (2 * n + 5)
-            if k2 < k:
-                return k2
-        return k
+            best = (vp << n | vb) if vp < vb else (vb << n | vp)
+            for lo, hi in self.images:
+                a = lo[pl] | hi[ph]
+                b = lo[bl] | hi[bh]
+                k = (a << n | b) if a < b else (b << n | a)
+                if k < best:
+                    best = k
+        else:
+            best = vp | vb << n
+            for lo, hi in self.images:
+                k = lo[pl] | hi[ph] | (lo[bl] | hi[bh]) << n
+                if k < best:
+                    best = k
+        return best | (actor == DOM) << (2 * n) | sel << (2 * n + 1) | moved << (2 * n + 5)
 
     def value(self, vp, vb, dp, db, actor, sel, moved) -> str:
-        key = self._key(vp, vb, actor, sel, moved)
         if self.use_memo:
+            key = self._key(vp, vb, actor, sel, moved)
             hit = self.memo.get(key)
             if hit is not None:
                 return hit
@@ -278,6 +312,19 @@ class _Solver:
         )
 
 
+def _image_tables(img, half):
+    """Two lookup tables mapping the low ``half`` bits and the remaining
+    high bits of a vertex mask to their images under ``img``."""
+    tables = []
+    for shift, width in ((0, half), (half, len(img) - half)):
+        table = [0] * (1 << width)
+        for m in range(1, 1 << width):
+            low = m & -m
+            table[m] = table[m ^ low] | 1 << img[shift + low.bit_length() - 1]
+        tables.append(table)
+    return tables
+
+
 def _state_cap() -> int:
     env = os.environ.get("DOMGAME_STATE_CAP")
     return int(env) if env else DEFAULT_VERTEX_CAP
@@ -302,44 +349,27 @@ def solve(config: GameConfig, g: Graph, state: GameState | None = None, *,
         return SolveResult(root.status.winner, None, 0, ())
     pos = solver._position_of(root)
     winner = solver.value(*pos)
-    best = _best_of(solver, pos, winner)
-    pv = _principal_variation(solver, pos)
-    return SolveResult(winner, best, solver.nodes, tuple(pv))
+    pv = _principal_variation(solver, pos, winner)
+    return SolveResult(winner, pv[0], solver.nodes, tuple(pv))
 
 
-def _best_of(solver: _Solver, pos, winner: str) -> Move | None:
-    children = solver._children(*pos)
-    actor = pos[4]
-    if winner == actor:
-        for mv, child in children:
-            w = child[7] if child[7] is not None else solver.value(*child[:7])
-            if w == actor:
-                return mv
-        raise engine.EngineInvariantError("winning position without a winning child")
-    return children[0][0] if children else None
-
-
-def _principal_variation(solver: _Solver, pos, limit: int = 200) -> list[Move]:
+def _principal_variation(solver: _Solver, pos, winner: str, limit: int = 200) -> list[Move]:
+    """Best play from pos, whose value is winner: at each step the first
+    child in canonical order with that value, which every position on the
+    line shares."""
     pv = []
     cur = pos
     for _ in range(limit):
-        children = solver._children(*cur)
-        if not children:
-            break
-        actor = cur[4]
-        value = solver.value(*cur)
-        chosen = None
-        for mv, child in children:
+        for mv, child in solver._children(*cur):
             w = child[7] if child[7] is not None else solver.value(*child[:7])
-            if w == value:
-                chosen = (mv, child)
+            if w == winner:
                 break
-        if chosen is None:
-            chosen = (children[0][0], children[0][1])
-        pv.append(chosen[0])
-        if chosen[1][7] is not None:
+        else:
+            raise engine.EngineInvariantError("position without a child of its value")
+        pv.append(mv)
+        if child[7] is not None:
             break
-        cur = chosen[1][:7]
+        cur = child[:7]
     return pv
 
 

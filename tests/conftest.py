@@ -22,6 +22,11 @@ def graphs_st(draw, min_n=1, max_n=10, isolate_free=False):
     return g
 
 
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_{a,b} with sides 0..a-1 and a..a+b-1."""
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
 def random_playout(state, rng: random.Random):
     """Play uniformly random legal moves to the end; returns the final state."""
     while state.status.ongoing:

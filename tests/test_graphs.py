@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs_st
+from conftest import complete_bipartite, graphs_st
 from domgame.graphs import (
     Graph,
     GraphError,
+    automorphisms,
     canonical_key,
     closed_neighborhood,
     components,
@@ -219,3 +220,53 @@ def test_canonical_key_is_isomorphism_invariant(g, rng):
 
 def test_canonical_key_separates_non_isomorphic():
     assert canonical_key(gen_path(4)) != canonical_key(from_edge_list(4, [(0, 1), (1, 2), (1, 3)]))
+
+
+# --- automorphisms ----------------------------------------------------------------
+
+def _brute_automorphisms(g):
+    edges = set(g.edges())
+    return {p for p in itertools.permutations(range(g.n))
+            if p != tuple(range(g.n))
+            and all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in edges)}
+
+
+def test_automorphisms_match_brute_force():
+    for n in range(2, 7):
+        for g in enumerate_isolate_free_graphs(n):
+            found = automorphisms(g, 10**6)
+            assert len(found) == len(set(found)), g.edges()
+            assert set(found) == _brute_automorphisms(g), g.edges()
+
+
+@pytest.mark.parametrize("g, order", [
+    (gen_cycle(5), 10),
+    (gen_cycle(8), 16),
+    (gen_cycle(13), 26),
+    (gen_petersen(), 120),
+    (complete_bipartite(3, 3), 72),
+    (disjoint_union(gen_cycle(4), gen_cycle(8)), 128),
+])
+def test_automorphism_group_orders(g, order):
+    found = automorphisms(g, 10**6)
+    assert len(found) == len(set(found)) == order - 1
+    assert tuple(range(g.n)) not in found
+    assert all(relabel(g, img) == g for img in found)
+
+
+def test_automorphisms_respect_the_limit():
+    g = gen_petersen()
+    whole = automorphisms(g, 10**6)
+    for limit in (0, 1, 5, 119, 500):
+        found = automorphisms(g, limit)
+        assert len(found) == min(limit, 119)
+        assert set(found) <= set(whole)
+    assert automorphisms(gen_path(2), 0) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_st(max_n=7), st.randoms(use_true_random=False))
+def test_automorphism_count_is_labelling_invariant(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    assert len(automorphisms(relabel(g, perm), 10**6)) == len(automorphisms(g, 10**6))

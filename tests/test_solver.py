@@ -1,11 +1,12 @@
 """Exact solver: winners, best moves, state keys, memo soundness, resource
 bounds, and the verification walk (including its failure path)."""
 
+import itertools
 import random
 
 import pytest
 
-from conftest import random_playout
+from conftest import complete_bipartite, random_playout
 from domgame.engine import (
     BLUE,
     DOM,
@@ -21,9 +22,11 @@ from domgame.graphs import (
     gen_complete,
     gen_cycle,
     gen_path,
+    relabel,
 )
 from domgame.solver import (
     ResourceLimitError,
+    _Solver,
     best_move,
     encode_state,
     solve,
@@ -177,16 +180,92 @@ def test_key_ignores_history_order():
 
 # --- memoization and limits --------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_memo_equivalence_small(n):
+def _shuffled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(g, perm)
+
+
+# symmetric graphs in scrambled labellings: the memo keys fold their
+# positions under automorphisms, the unmemoized search does not
+_SYMMETRIC = {
+    "C6": _shuffled(gen_cycle(6), 1),
+    "C7": _shuffled(gen_cycle(7), 2),
+    "K33": _shuffled(complete_bipartite(3, 3), 3),
+    "2K3": _shuffled(disjoint_union(gen_cycle(3), gen_cycle(3)), 4),
+    "K24": _shuffled(complete_bipartite(2, 4), 5),
+}
+
+
+@pytest.mark.parametrize("corpus", [2, 3, 4, 5, *_SYMMETRIC])
+def test_memo_equivalence_small(corpus):
     # pass rights and (2:1) reach the expander's pass and mid-turn branches
     configs = (ddg(DOM), ddg(SEPY), bdg(DOM), bdg(SEPY), ddg(SEPY, pass_rights="sepy"),
                ddg(DOM, pass_rights="dom"), ddg(DOM, d=2), ddg(SEPY, d=2))
-    for g in enumerate_isolate_free_graphs(n):
+    graphs = (enumerate_isolate_free_graphs(corpus) if isinstance(corpus, int)
+              else [_SYMMETRIC[corpus]])
+    for g in graphs:
         for cfg in configs:
             memo, plain = solve(cfg, g), solve(cfg, g, use_memo=False)
             assert (memo.winner, memo.best_move, memo.pv) == \
                 (plain.winner, plain.best_move, plain.pv), (cfg, g.edges())
+
+
+def _reachable_positions(solver, cfg, g, rng):
+    positions = set()
+    for _ in range(60):
+        state = new_game(cfg, g)
+        while state.status.ongoing:
+            positions.add(solver._position_of(state))
+            moves = state.legal_moves()
+            state = state.apply(moves[rng.randrange(len(moves))])
+    return sorted(positions)
+
+
+def _orbit_label(group, ddg_rules, pos):
+    """Least image of pos under the whole group (x palette swap in DDG)."""
+    vp, vb, _dp, _db, actor, sel, moved = pos
+    images = []
+    for p in group:
+        ip = sum(1 << p[v] for v in range(len(p)) if vp >> v & 1)
+        ib = sum(1 << p[v] for v in range(len(p)) if vb >> v & 1)
+        images.append((ip, ib))
+        if ddg_rules:
+            images.append((ib, ip))
+    return min(images), actor, sel, moved
+
+
+def _keys_and_orbits(cfg, g, seed):
+    edges = set(g.edges())
+    group = [p for p in itertools.permutations(range(g.n))
+             if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in edges)]
+    solver = _Solver(cfg, g)
+    positions = _reachable_positions(solver, cfg, g, random.Random(seed))
+    return [(solver._key(vp, vb, actor, sel, moved),
+             _orbit_label(group, cfg.variant == "ddg", (vp, vb, dp, db, actor, sel, moved)))
+            for vp, vb, dp, db, actor, sel, moved in positions]
+
+
+@pytest.mark.parametrize("name", ["C6", "C7"])
+@pytest.mark.parametrize("cfg", [ddg(DOM), ddg(SEPY, d=2), bdg(DOM)],
+                         ids=["ddg-dom", "ddg-sepy-2to1", "bdg-dom"])
+def test_key_is_canonical_when_the_group_fits(name, cfg):
+    # C_n has 2n automorphisms, so the solver holds the whole group
+    pairs = _keys_and_orbits(cfg, _SYMMETRIC[name], seed=7)
+    keys = {key for key, _ in pairs}
+    orbits = {orbit for _, orbit in pairs}
+    # equal keys exactly when the positions are images of each other
+    assert len(keys) == len(orbits) == len(set(pairs))
+    assert len(orbits) < len(pairs)
+
+
+@pytest.mark.parametrize("cfg", [ddg(DOM), bdg(DOM)], ids=["ddg-dom", "bdg-dom"])
+def test_key_is_sound_on_a_truncated_group(cfg):
+    # K3,3 has 72 automorphisms, more than the 2n = 12 the solver keeps
+    pairs = _keys_and_orbits(cfg, _SYMMETRIC["K33"], seed=9)
+    keys = {key for key, _ in pairs}
+    assert len(keys) == len(set(pairs))
+    assert len(keys) < len(pairs)
 
 
 def test_vertex_cap_enforced():
@@ -204,16 +283,25 @@ def test_state_cap_env(monkeypatch):
 
 
 def test_entry_cap_fails_fast():
+    cfg, g = ddg(SEPY), gen_cycle(8)
+    uncapped = _Solver(cfg, g)
+    uncapped.value(*uncapped._position_of(new_game(cfg, g)))
+    assert len(uncapped.memo) > 10
     with pytest.raises(ResourceLimitError, match="entries"):
-        solve(ddg(DOM), gen_cycle(8), entry_cap=10)
+        solve(cfg, g, entry_cap=10)
+
+
+def test_large_automorphism_groups_solve():
+    # 14!, 13! and 2 (7!)^2 automorphisms: the solver keeps only 2n of them
+    for g in (gen_complete(14), complete_bipartite(1, 13), complete_bipartite(7, 7)):
+        assert solve(ddg(DOM), g).winner == DOM
+        assert solve(ddg(SEPY), g).winner == DOM
 
 
 # --- solver vs engine rule agreement ---------------------------------------------------------
 
 def test_solver_children_match_engine_moves():
     """The solver's internal move generator must mirror the engine exactly."""
-    from domgame.solver import _Solver
-
     rng = random.Random(11)
     configs = [ddg(DOM), ddg(SEPY, pass_rights="sepy"), ddg(DOM, d=2, s=1),
                bdg(DOM), bdg(SEPY)]
