@@ -15,12 +15,8 @@ from .engine import (
     IllegalMoveError,
     Move,
     Status,
-    apply,
-    is_legal,
-    legal_moves,
     new_game,
     replay,
-    status,
     trace_lines,
 )
 from .formats import (
@@ -62,7 +58,6 @@ from .solver import (
     SolveResult,
     VerificationReport,
     best_move,
-    encode_state,
     solve,
     verify_strategy,
 )

@@ -39,7 +39,7 @@ from .graphs import (
     subdivide3,
 )
 from .matching import maximum_matching
-from .solver import encode_state, solve, verify_strategy
+from .solver import _Solver, solve, verify_strategy
 from .strategies import _safe_first_vertex
 
 
@@ -261,15 +261,16 @@ _RULE_COMBOS = (
 
 
 def _assert_state_sound(state) -> None:
-    _check(state.ledger == state.recount_ledger(),
-           "ledger diverged from a from-scratch recount")
     g = state.graph
     mono = None
-    for v in range(g.n):
-        c = state.colors[v]
-        if c != -1 and g.closed_mask[v] & ~state.vmask[c] & g.full_mask == 0:
-            mono = (v, c)
-            break
+    for c in (PURPLE, BLUE):
+        recount = 0
+        for v in bits(state.vmask[c]):
+            recount |= g.closed_mask[v]
+            if g.closed_mask[v] & ~state.vmask[c] == 0:
+                mono = (v, c)
+        _check(state.dom[c] == recount,
+               "dominated mask diverged from a recount of the colored vertices")
     both_dominating = (
         state.dom[PURPLE] == g.full_mask and state.dom[BLUE] == g.full_mask
     )
@@ -286,21 +287,25 @@ def _assert_state_sound(state) -> None:
             _check(mono is None, "ongoing state already monochromatic")
 
 
+def _state_key(solver, state) -> int:
+    vp, vb, _dp, _db, actor, sel, moved = state.position()
+    return solver._key(vp, vb, actor, sel, moved)
+
+
 def _walk_full_tree(config, g) -> int:
     seen = set()
     states = 0
 
     def walk(state):
         nonlocal states
-        key = (tuple(state.colors), state.actor, state.selections_done, state.any_move_made)
+        key = state.position()
         if key in seen:
             return
         seen.add(key)
         states += 1
         _assert_state_sound(state)
-        if state.status.ongoing:
-            for mv in state.legal_moves():
-                walk(state.apply(mv))
+        for _mv, child in state.children():
+            walk(child)
 
     walk(new_game(config, g))
     return states
@@ -309,8 +314,8 @@ def _walk_full_tree(config, g) -> int:
 def crit_engine_properties() -> str:
     """Rule-level invariants: a move always exists while the game is on, a
     legal coloring never self-monochromatizes, the two win conditions never
-    coincide, and the ledger always matches a recount -- over the full game
-    trees of every isolate-free graph n <= 5 under all eight rule
+    coincide, and the dominated masks always match a recount -- over the
+    full game trees of every isolate-free graph n <= 5 under all eight rule
     combinations, plus 10^4 seeded random playouts at n <= 12.  Also:
     memoized and unmemoized solving agree on the whole n <= 5 corpus, and
     winners are invariant under palette swaps and vertex relabelings."""
@@ -348,6 +353,7 @@ def crit_engine_properties() -> str:
     for g in fixtures:
         for cfg in (_ddg(DOM), _ddg(SEPY)):
             base = new_game(cfg, g)
+            solver = _Solver(base.rules)
             for _ in range(100):
                 state, twin = base, base
                 while state.status.ongoing and rng.random() < 0.7:
@@ -356,8 +362,8 @@ def crit_engine_properties() -> str:
                         break
                     state = state.apply(mv)
                     twin = twin.apply(Move(mv.vertex, 1 - mv.color))
-                _check(encode_state(state) == encode_state(twin),
-                       "palette twins encode differently")
+                _check(_state_key(solver, state) == _state_key(solver, twin),
+                       "palette twins have different solve keys")
                 if state.status.ongoing:
                     _check(solve(cfg, g, state).winner == solve(cfg, g, twin).winner,
                            "palette twins solved differently")

@@ -67,15 +67,18 @@ def _config_from_args(args) -> GameConfig:
         starter=args.start,
         d=args.d,
         s=args.s,
-        pass_rights={"none": "none", "dom": DOM, "sepy": SEPY}[getattr(args, "pass_", "none")],
-        allow_first_turn_pass=getattr(args, "allow_first_turn_pass", False),
+        pass_rights=args.pass_,
+        allow_first_turn_pass=args.allow_first_turn_pass,
     )
 
 
-def _add_game_flags(p: argparse.ArgumentParser, *, need_start=True):
-    p.add_argument("--graph", required=True, help="generator spec, file path, or graph6 line")
-    p.add_argument("--variant", choices=["ddg", "bdg"], default="ddg")
-    p.add_argument("--start", choices=[DOM, SEPY], required=need_start)
+GRAPH_HELP = "generator spec, file path, or graph6 line"
+
+
+def _add_game_flags(p: argparse.ArgumentParser):
+    p.add_argument("--variant", choices=["ddg", "bdg"], default="ddg",
+                   help="disjoint (ddg) or bicolored (bdg) game")
+    p.add_argument("--start", choices=[DOM, SEPY], required=True, help="who moves first")
     p.add_argument("-d", type=int, default=1, help="Dom selections per turn")
     p.add_argument("-s", type=int, default=1, help="Sepy max selections per turn")
     p.add_argument("--pass", dest="pass_", choices=["none", "dom", "sepy"], default="none",
@@ -118,10 +121,8 @@ def cmd_verify(args) -> int:
 
 
 def _human_move(state: GameState) -> Move:
-    g = state.graph
     board = " ".join(
-        f"{v}:{'.' if state.colors[v] == -1 else COLOR_NAMES[state.colors[v]][0]}"
-        for v in range(g.n)
+        f"{v}:{'.' if c == -1 else COLOR_NAMES[c][0]}" for v, c in enumerate(state.colors)
     )
     print(f"[{state.actor} to move] {board}", file=sys.stderr)
     while True:
@@ -204,23 +205,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="exact winner of a position")
+    p.add_argument("--graph", required=True, help=GRAPH_HELP)
     _add_game_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="certify a strategy against all opponent play")
     p.add_argument("--strategy", required=True, help=f"one of: {', '.join(strategy_ids())}")
     p.add_argument("--role", choices=[DOM, SEPY], required=True)
-    p.add_argument("--graph", help="generator spec, file path, or graph6 line")
+    p.add_argument("--graph", help=GRAPH_HELP)
     p.add_argument("--corpus", help="connected:N | isolatefree:N | perfectmatching:N")
-    p.add_argument("--variant", choices=["ddg", "bdg"], default="ddg")
-    p.add_argument("--start", choices=[DOM, SEPY], required=True)
-    p.add_argument("-d", type=int, default=1)
-    p.add_argument("-s", type=int, default=1)
-    p.add_argument("--pass", dest="pass_", choices=["none", "dom", "sepy"], default="none")
-    p.add_argument("--allow-first-turn-pass", action="store_true")
+    _add_game_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("play", help="play out a game between two seats")
+    p.add_argument("--graph", required=True, help=GRAPH_HELP)
     _add_game_flags(p)
     p.add_argument("--dom", required=True, help="strategy id, 'solver', or 'human'")
     p.add_argument("--sepy", required=True, help="strategy id, 'solver', or 'human'")

@@ -8,8 +8,10 @@ classes dominate every vertex, and in the bicolored game (BDG, Dom plays
 only purple, Sepy only blue) Dom wins when neither player can move and no
 monochromatic closed neighborhood exists.
 
-States are value-like: ``apply`` returns a fresh state and never mutates its
-input, so undo is just keeping the old reference.
+The rules are written once, in ``Rules``: a kernel on raw bitmasks that lists
+a position's children.  ``GameState`` plays it move by move and the solver
+searches it directly.  States are value-like: ``apply`` returns a fresh state
+and never mutates its input, so undo is just keeping the old reference.
 """
 
 from __future__ import annotations
@@ -61,10 +63,6 @@ class Move:
     def is_pass(self) -> bool:
         return self.vertex is None
 
-    @staticmethod
-    def select(vertex: int, color: int) -> "Move":
-        return Move(vertex, color)
-
     def to_json(self):
         if self.is_pass:
             return "pass"
@@ -74,7 +72,9 @@ class Move:
     def from_json(obj) -> "Move":
         if obj == "pass":
             return PASS
-        return Move(int(obj["v"]), COLOR_NAMES.index(obj["c"]))
+        if isinstance(obj, dict) and type(obj.get("v")) is int and obj.get("c") in COLOR_NAMES:
+            return Move(obj["v"], COLOR_NAMES.index(obj["c"]))
+        raise IllegalMoveError(f"malformed move {obj!r}")
 
     def __repr__(self) -> str:
         if self.is_pass:
@@ -162,22 +162,139 @@ class Status:
         return "ongoing" if self.ongoing else self.winner
 
 
-class GameState:
-    """Position plus turn bookkeeping.
+class Rules:
+    """The rules of one game on raw bitmasks: the kernel that ``GameState``
+    plays and the solver searches.
 
-    colors[v] is UNCOLORED/PURPLE/BLUE; vmask and dom are per-color bitmasks
-    of colored and dominated vertices; ledger[2v+c] counts the vertices of
-    N[v] colored c (always recomputable from colors).
+    A position is (vp, vb, dp, db, actor, sel, moved): the purple and blue
+    vertex masks, the masks of the vertices dominated in purple and in blue,
+    the player to move, the selections made this turn, and whether any move
+    has been made yet.  ``expand`` lists a position's children; the other
+    methods serve it.
+    """
+
+    def __init__(self, config: GameConfig, graph: Graph):
+        self.cfg = config
+        self.graph = graph
+        self.full = graph.full_mask
+        self.closed = graph.closed_mask
+        self.closed_verts = tuple(tuple(bits(m)) for m in graph.closed_mask)
+        self.ddg = config.variant == DDG
+        self.colors = {DOM: config.allowed_colors(DOM), SEPY: config.allowed_colors(SEPY)}
+        self.caps = {DOM: config.d, SEPY: config.s}
+
+    def is_vertex(self, v) -> bool:
+        return type(v) is int and 0 <= v < self.graph.n
+
+    def has_select(self, vp, vb, dp, db, actor):
+        undom = 0
+        for c in self.colors[actor]:
+            undom |= ~(dp if c == PURPLE else db)
+        closed = self.closed
+        for v in bits(self.full & ~(vp | vb)):
+            if closed[v] & undom:
+                return True
+        return False
+
+    def pass_child(self, vp, vb, dp, db, actor, sel, moved):
+        """(actor', sel', terminal_winner_or_None) after a pass, or None when
+        passing is illegal here."""
+        cfg = self.cfg
+        if actor == SEPY and sel >= 1:
+            pass  # biased mid-turn stop is always available
+        else:
+            allowed = cfg.dom_may_pass if actor == DOM else cfg.sepy_may_pass
+            if not allowed:
+                return None
+            if not (moved or cfg.allow_first_turn_pass):
+                return None
+        # a pass that leaves the opponent with no selection would stall the
+        # game (reachable only in bicolored corner cases)
+        if not self.has_select(vp, vb, dp, db, other_player(actor)):
+            return None
+        return self.resolve_incoming(vp, vb, dp, db, other_player(actor), moved)
+
+    def resolve_incoming(self, vp, vb, dp, db, actor, moved):
+        """(actor', sel', terminal_winner_or_None); skips stuck bicolored
+        players and detects the bicolored end."""
+        if self.ddg:
+            return actor, 0, None
+        if self.has_select(vp, vb, dp, db, actor):
+            return actor, 0, None
+        other = other_player(actor)
+        if self.has_select(vp, vb, dp, db, other):
+            return other, 0, None
+        return actor, 0, DOM
+
+    def expand(self, vp, vb, dp, db, actor, sel, moved, verts=-1, passes=True):
+        """The children in canonical order (vertex ascending, the actor's
+        colors in order, the pass last) as (vertex, color, child) tuples;
+        vertex and color are None for the pass, and child is (vp, vb, dp,
+        db, actor, sel, moved, winner_or_None).  Only selections of vertices
+        in ``verts`` are listed, and the pass only when ``passes`` is set."""
+        full = self.full
+        closed = self.closed
+        closed_verts = self.closed_verts
+        ddg = self.ddg
+        other = other_player(actor)
+        nsel = sel + 1
+        may_continue = nsel < self.caps[actor]
+        colors = self.colors[actor]
+        out = []
+        for v in bits(full & ~(vp | vb) & verts):
+            cbit = 1 << v
+            nbhd = closed[v]
+            for c in colors:
+                if c == PURPLE:
+                    if not nbhd & ~dp:
+                        continue
+                    nvp, nvb, ndp, ndb = vp | cbit, vb, dp | nbhd, db
+                    vcmask = nvp
+                else:
+                    if not nbhd & ~db:
+                        continue
+                    nvp, nvb, ndp, ndb = vp, vb | cbit, dp, db | nbhd
+                    vcmask = nvb
+                winner = None
+                for u in closed_verts[v]:
+                    if not closed[u] & ~vcmask:
+                        winner = SEPY
+                        break
+                nactor, csel = actor, nsel
+                if winner is None:
+                    if ddg and ndp == full and ndb == full:
+                        winner = DOM
+                    elif may_continue and self.has_select(nvp, nvb, ndp, ndb, actor):
+                        pass  # same actor continues the turn
+                    elif ddg:
+                        nactor, csel = other, 0
+                    else:
+                        nactor, csel, winner = self.resolve_incoming(
+                            nvp, nvb, ndp, ndb, other, True
+                        )
+                out.append((v, c, (nvp, nvb, ndp, ndb, nactor, csel, True, winner)))
+        if passes:
+            child = self.pass_child(vp, vb, dp, db, actor, sel, moved)
+            if child is not None:
+                a2, s2, winner = child
+                out.append((None, None, (vp, vb, dp, db, a2, s2, moved, winner)))
+        return out
+
+
+class GameState:
+    """A kernel position plus the record of how play reached it.
+
+    vmask and dom are the (purple, blue) masks of colored and of dominated
+    vertices; actor, selections_done and any_move_made are the turn
+    bookkeeping; winner is None while the game is on.  history holds
+    (actor, move) pairs and last_select is (vertex, color, actor) of the
+    latest selection.
     """
 
     __slots__ = (
-        "graph", "config", "colors", "vmask", "dom", "ledger",
-        "actor", "selections_done", "any_move_made", "history",
-        "last_select", "_status",
+        "rules", "vmask", "dom", "actor", "selections_done", "any_move_made",
+        "winner", "history", "last_select",
     )
-
-    graph: Graph
-    config: GameConfig
 
     def __init__(self):
         raise TypeError("use new_game() to create states")
@@ -185,198 +302,137 @@ class GameState:
     # -- queries ----------------------------------------------------------
 
     @property
-    def status(self) -> Status:
-        return self._status
+    def graph(self) -> Graph:
+        return self.rules.graph
 
-    def color_of(self, v: int) -> int | None:
-        c = self.colors[v]
-        return None if c == UNCOLORED else c
+    @property
+    def config(self) -> GameConfig:
+        return self.rules.cfg
+
+    @property
+    def status(self) -> Status:
+        if self.winner is None:
+            return Status(None, next_actor=self.actor)
+        if self.winner == DOM:
+            return Status(DOM)
+        # Sepy won with the latest selection, so every monochromatic closed
+        # neighborhood is around its vertex
+        v, c, _actor = self.last_select
+        closed, colored = self.rules.closed, self.vmask[c]
+        witness = next(u for u in self.rules.closed_verts[v] if not closed[u] & ~colored)
+        return Status(SEPY, witness=witness, witness_color=c)
+
+    @property
+    def colors(self) -> list[int]:
+        """UNCOLORED, PURPLE or BLUE per vertex, read off the masks."""
+        vp, vb = self.vmask
+        return [PURPLE if vp >> v & 1 else BLUE if vb >> v & 1 else UNCOLORED
+                for v in range(self.graph.n)]
+
+    def position(self) -> tuple:
+        """The kernel position (vp, vb, dp, db, actor, sel, moved)."""
+        return (*self.vmask, *self.dom, self.actor, self.selections_done, self.any_move_made)
 
     def uncolored_mask(self) -> int:
-        return self.graph.full_mask & ~(self.vmask[PURPLE] | self.vmask[BLUE])
+        return self.rules.full & ~(self.vmask[PURPLE] | self.vmask[BLUE])
 
     def undominated_mask(self) -> int:
         """Vertices dominated by no color."""
-        return self.graph.full_mask & ~(self.dom[PURPLE] | self.dom[BLUE])
+        return self.rules.full & ~(self.dom[PURPLE] | self.dom[BLUE])
 
     def single_dominated_mask(self) -> int:
         """Vertices dominated in exactly one color."""
         return self.dom[PURPLE] ^ self.dom[BLUE]
 
     def select_legal(self, v: int, c: int) -> bool:
-        """Selection legality for the current actor."""
-        if self.colors[v] != UNCOLORED:
+        """Whether the actor may color v with c: the one rule predicate
+        outside the kernel, for strategies that weigh a single move."""
+        rules = self.rules
+        if not rules.is_vertex(v) or c not in rules.colors[self.actor]:
             return False
-        if c not in self.config.allowed_colors(self.actor):
+        if (self.vmask[PURPLE] | self.vmask[BLUE]) >> v & 1:
             return False
-        g = self.graph
-        return bool(g.closed_mask[v] & g.full_mask & ~self.dom[c])
-
-    def _has_select(self, actor: str) -> bool:
-        g = self.graph
-        undom = 0
-        for c in self.config.allowed_colors(actor):
-            undom |= g.full_mask & ~self.dom[c]
-        for v in bits(self.uncolored_mask()):
-            if g.closed_mask[v] & undom:
-                return True
-        return False
-
-    def _pass_legal(self) -> bool:
-        cfg = self.config
-        if self.actor == SEPY and self.selections_done >= 1:
-            # biased mid-turn: Sepy may stop after 1..s selections
-            return True
-        if self.actor == DOM:
-            if not cfg.dom_may_pass:
-                return False
-        else:
-            if not cfg.sepy_may_pass:
-                return False
-        if not (self.any_move_made or cfg.allow_first_turn_pass):
-            return False
-        # a pass that leaves the opponent with no selection would stall the
-        # game (reachable only in bicolored corner cases)
-        return self._has_select(other_player(self.actor))
+        return bool(rules.closed[v] & ~self.dom[c])
 
     def ply(self) -> int:
         return len(self.history)
 
-    def recount_ledger(self) -> list[int]:
-        """From-scratch ledger recomputation (test oracle)."""
-        g = self.graph
-        fresh = [0] * (2 * g.n)
-        for v in range(g.n):
-            for c in (PURPLE, BLUE):
-                fresh[2 * v + c] = (g.closed_mask[v] & self.vmask[c]).bit_count()
-        return fresh
-
     # -- transitions -------------------------------------------------------
 
-    def legal_moves(self) -> list[Move]:
-        if not self._status.ongoing:
+    def expand(self, verts: int = -1, passes: bool = True) -> list:
+        """The kernel's children of this state (see ``Rules.expand``), none
+        once the game is over."""
+        if self.winner is not None:
             return []
-        out = []
-        cols = self.config.allowed_colors(self.actor)
-        for v in bits(self.uncolored_mask()):
-            for c in cols:
-                if self.select_legal(v, c):
-                    out.append(Move(v, c))
-        if self._pass_legal():
-            out.append(PASS)
-        if not out:
-            raise EngineInvariantError(
-                "ongoing state with no legal move for the actor"
-            )
+        return self.rules.expand(*self.vmask, *self.dom, self.actor, self.selections_done,
+                                 self.any_move_made, verts, passes)
+
+    def _expand_all(self) -> list:
+        out = self.expand()
+        if not out and self.winner is None:
+            raise EngineInvariantError("ongoing state with no legal move for the actor")
         return out
 
+    def legal_moves(self) -> list[Move]:
+        return [PASS if v is None else Move(v, c) for v, c, _child in self._expand_all()]
+
+    def children(self) -> list[tuple[Move, "GameState"]]:
+        """(move, successor) for every legal move, in ``legal_moves`` order."""
+        return [self._successor(v, c, child) for v, c, child in self._expand_all()]
+
     def apply(self, move: Move) -> "GameState":
-        if not self._status.ongoing:
+        if self.winner is not None:
             raise IllegalMoveError("game is over")
         if move.is_pass:
-            if not self._pass_legal():
+            found = self.expand(0)
+            if not found:
                 raise IllegalMoveError(f"{self.actor} may not pass here")
-            return self._apply_pass()
-        if not self.select_legal(move.vertex, move.color):
-            raise IllegalMoveError(
-                f"{self.actor} cannot color vertex {move.vertex} "
-                f"{COLOR_NAMES[move.color]}"
-            )
-        return self._apply_select(move)
+        else:
+            v, c = move.vertex, move.color
+            verts = 1 << v if self.rules.is_vertex(v) else 0
+            found = [kid for kid in self.expand(verts, passes=False) if kid[1] == c]
+            if not found:
+                name = COLOR_NAMES[c] if c in (PURPLE, BLUE) else repr(c)
+                raise IllegalMoveError(f"{self.actor} cannot color vertex {v!r} {name}")
+        return self._successor(*found[0])[1]
 
-    def _clone(self) -> "GameState":
-        st = object.__new__(GameState)
-        st.graph = self.graph
-        st.config = self.config
-        st.colors = self.colors.copy()
-        st.vmask = self.vmask.copy()
-        st.dom = self.dom.copy()
-        st.ledger = self.ledger.copy()
-        st.actor = self.actor
-        st.selections_done = self.selections_done
-        st.any_move_made = self.any_move_made
-        st.history = self.history
-        st.last_select = self.last_select
-        st._status = self._status
-        return st
-
-    def _apply_pass(self) -> "GameState":
-        st = self._clone()
-        st.history = self.history + ((self.actor, PASS),)
-        st.actor = other_player(self.actor)
-        st.selections_done = 0
-        st._resolve_incoming()
-        return st
-
-    def _apply_select(self, move: Move) -> "GameState":
-        v, c = move.vertex, move.color
-        g = self.graph
-        st = self._clone()
-        st.colors[v] = c
-        bit = 1 << v
-        st.vmask[c] |= bit
-        st.dom[c] |= g.closed_mask[v]
-        witness = None
-        for u in bits(g.closed_mask[v]):
-            st.ledger[2 * u + c] += 1
-            if witness is None and st.ledger[2 * u + c] == g.degree(u) + 1:
-                witness = u
-        if st.ledger[2 * v + c] == g.degree(v) + 1:
-            raise EngineInvariantError(
-                "legal selection made its own closed neighborhood monochromatic"
-            )
-        st.any_move_made = True
-        st.history = self.history + ((self.actor, move),)
-        st.last_select = (v, c, self.actor)
-        st.selections_done = self.selections_done + 1
-
-        if witness is not None:
-            st._status = Status(SEPY, witness=witness, witness_color=c)
-            return st
-        full = g.full_mask
-        if self.config.variant == DDG and st.dom[PURPLE] == full and st.dom[BLUE] == full:
-            st._status = Status(DOM)
-            return st
-        st._advance_turn()
-        return st
-
-    def _advance_turn(self):
-        cfg = self.config
-        cap = cfg.d if self.actor == DOM else cfg.s
-        if self.selections_done < cap and self._has_select(self.actor):
-            self._status = Status(None, next_actor=self.actor)
-            return
-        self.actor = other_player(self.actor)
-        self.selections_done = 0
-        self._resolve_incoming()
-
-    def _resolve_incoming(self):
-        """Settle whose turn it really is, skipping stuck bicolored players,
-        and refresh the status."""
-        if self.config.variant == DDG:
-            if not self._has_select(self.actor) and not self._pass_legal():
+    def _successor(self, v, c, child) -> tuple[Move, "GameState"]:
+        """The move and state of a kernel child, after the engine's own
+        invariant checks (the solver's search runs none)."""
+        rules = self.rules
+        vp, vb, dp, db, actor, sel, moved, winner = child
+        if v is None:
+            move, last = PASS, self.last_select
+        else:
+            move, last = Move(v, c), (v, c, self.actor)
+            if not rules.closed[v] & ~(vp, vb)[c]:
+                raise EngineInvariantError(
+                    "legal selection made its own closed neighborhood monochromatic"
+                )
+        if winner is None:
+            # a disjoint-game turn just changed hands
+            if (rules.ddg and sel == 0 and not rules.has_select(vp, vb, dp, db, actor)
+                    and rules.pass_child(vp, vb, dp, db, actor, sel, moved) is None):
                 raise EngineInvariantError(
                     "ongoing disjoint-game state without a feasible move"
                 )
-            self._status = Status(None, next_actor=self.actor)
-            return
-        if self._has_select(self.actor):
-            self._status = Status(None, next_actor=self.actor)
-            return
-        other = other_player(self.actor)
-        if self._has_select(other):
-            self.actor = other
-            self.selections_done = 0
-            self._status = Status(None, next_actor=other)
-            return
-        # neither side can color: Dom's bicolored win.  With no monochromatic
-        # closed neighborhood, a stuck player's color class must dominate
-        # every vertex, so both masks are full here.
-        if self.dom[PURPLE] != self.graph.full_mask or self.dom[BLUE] != self.graph.full_mask:
+        elif winner == DOM and not rules.ddg and not dp == db == rules.full:
+            # with no monochromatic closed neighborhood, a stuck player's
+            # color class must dominate every vertex
             raise EngineInvariantError(
                 "bicolored game ended without two dominating color classes"
             )
-        self._status = Status(DOM)
+        st = object.__new__(GameState)
+        st.rules = rules
+        st.vmask = (vp, vb)
+        st.dom = (dp, db)
+        st.actor = actor
+        st.selections_done = sel
+        st.any_move_made = moved
+        st.winner = winner
+        st.history = self.history + ((self.actor, move),)
+        st.last_select = last
+        return move, st
 
 
 def new_game(config: GameConfig, g: Graph) -> GameState:
@@ -387,39 +443,15 @@ def new_game(config: GameConfig, g: Graph) -> GameState:
         isolate = next(v for v in range(g.n) if not g.adj[v])
         raise ConfigError(f"game graph has an isolated vertex ({isolate})")
     st = object.__new__(GameState)
-    st.graph = g
-    st.config = config
-    st.colors = [UNCOLORED] * g.n
-    st.vmask = [0, 0]
-    st.dom = [0, 0]
-    st.ledger = [0] * (2 * g.n)
+    st.rules = Rules(config, g)
+    st.vmask = st.dom = (0, 0)
     st.actor = config.starter
     st.selections_done = 0
     st.any_move_made = False
+    st.winner = None
     st.history = ()
     st.last_select = None
-    st._status = Status(None, next_actor=config.starter)
     return st
-
-
-def is_legal(state: GameState, move: Move) -> bool:
-    if not state.status.ongoing:
-        return False
-    if move.is_pass:
-        return state._pass_legal()
-    return state.select_legal(move.vertex, move.color)
-
-
-def legal_moves(state: GameState) -> list[Move]:
-    return state.legal_moves()
-
-
-def apply(state: GameState, move: Move) -> GameState:
-    return state.apply(move)
-
-
-def status(state: GameState) -> Status:
-    return state.status
 
 
 # -- replay / trace ---------------------------------------------------------
@@ -444,17 +476,19 @@ def trace_lines(state: GameState) -> list[dict]:
 
 
 def replay(config: GameConfig, g: Graph, lines: list[dict]) -> GameState:
-    """Re-apply a trace, checking each recorded status; returns the end state."""
+    """Re-apply a trace, checking each recorded status; returns the end state.
+    A malformed or inconsistent record raises IllegalMoveError."""
     cur = new_game(config, g)
-    for rec in lines:
-        if cur.actor != rec["actor"]:
+    for ply, rec in enumerate(lines, start=1):
+        try:
+            actor, move, status = rec["actor"], rec["move"], rec["status"]
+        except (KeyError, TypeError):
+            raise IllegalMoveError(f"ply {ply}: malformed record {rec!r}") from None
+        if cur.actor != actor:
+            raise IllegalMoveError(f"ply {ply}: expected {cur.actor} to move")
+        cur = cur.apply(Move.from_json(move))
+        if cur.status.label() != status:
             raise IllegalMoveError(
-                f"ply {rec['ply']}: expected {cur.actor} to move"
-            )
-        cur = cur.apply(Move.from_json(rec["move"]))
-        if cur.status.label() != rec["status"]:
-            raise IllegalMoveError(
-                f"ply {rec['ply']}: status {cur.status.label()} != recorded "
-                f"{rec['status']}"
+                f"ply {ply}: status {cur.status.label()} != recorded {status}"
             )
     return cur

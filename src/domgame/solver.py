@@ -1,11 +1,13 @@
 """Exact winner computation and exhaustive strategy certification.
 
-``solve`` runs a memoized win/lose search over the raw position (coloring
-masks plus turn bookkeeping); games of this family always end with a winner,
-so no scores are needed and the first winning child cuts the branch.  Each
-position is expanded once into plain tuples; a child that wins on the spot
-for the mover is taken before any open child is searched, and the open ones
-are then searched in canonical order.  A win/lose value does not depend on
+``solve`` runs a memoized win/lose search over the positions of the rules
+kernel ``engine.Rules`` (coloring and domination masks plus turn
+bookkeeping), the kernel that ``GameState`` plays too; the solver holds no
+rule of its own.  Games of this family always end with a winner, so no
+scores are needed and the first winning child cuts the branch.  Each
+position is expanded once by ``Rules.expand`` into plain tuples; a child
+that wins on the spot for the mover is taken before any open child is
+searched, and the open ones are then searched in canonical order.  A win/lose value does not depend on
 that order, and the best move and PV are still the first child in canonical
 order with the right value.
 
@@ -22,9 +24,10 @@ keys; when the whole group fits in the 2n (C_n has exactly 2n), the key is
 canonical.  The unmemoized search computes no keys and no automorphisms and
 serves as the independent oracle.
 
-``verify_strategy`` walks the full game tree with one side pinned to a
-strategy and the other ranging over every legal move (passes included); it
-either certifies the strategy or returns a counterexample playout.
+``verify_strategy`` walks the full game tree of ``GameState`` with one side
+pinned to a strategy and the other ranging over every legal move (passes
+included), expanding each opponent node once; it either certifies the
+strategy or returns a counterexample playout.
 
 Everything here is single-threaded; positions are plain values, so callers
 wanting parallelism can fan out root children across solver instances and
@@ -36,22 +39,21 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from . import engine
 from .engine import (
-    BLUE,
-    DDG,
     DOM,
     PASS,
-    PURPLE,
-    SEPY,
+    ConfigError,
+    EngineInvariantError,
     GameConfig,
     GameState,
+    IllegalMoveError,
     Move,
+    Rules,
     new_game,
     other_player,
     trace_lines,
 )
-from .graphs import Graph, automorphisms, bits
+from .graphs import Graph, automorphisms
 
 DEFAULT_VERTEX_CAP = 14
 DEFAULT_ENTRY_CAP = 20_000_000
@@ -111,139 +113,22 @@ class VerificationReport:
         }
 
 
-def encode_state(state: GameState) -> str:
-    """Canonical key of a state: per-vertex trits (0 uncolored, 1 purple,
-    2 blue) plus actor, selections this turn, and the first-move flag.  In
-    the disjoint game the palette-swapped twin shares the key."""
-    digits = "".join(
-        "0" if c == -1 else ("1" if c == PURPLE else "2") for c in state.colors
-    )
-    tail = f"|{state.actor[0]}|{state.selections_done}|{int(state.any_move_made)}"
-    key = digits + tail
-    if state.config.variant == DDG:
-        swapped = digits.translate(str.maketrans("12", "21")) + tail
-        key = min(key, swapped)
-    return key
-
-
 class _Solver:
-    """Win/lose search on (purple mask, blue mask, actor, selections, moved)."""
+    """Win/lose search over the positions of the rules kernel."""
 
-    def __init__(self, config: GameConfig, graph: Graph, *,
-                 use_memo: bool = True, entry_cap: int = DEFAULT_ENTRY_CAP):
-        self.cfg = config
-        self.g = graph
-        self.n = graph.n
-        self.full = graph.full_mask
-        self.closed = graph.closed_mask
-        self.closed_verts = tuple(tuple(bits(m)) for m in graph.closed_mask)
+    def __init__(self, rules: Rules, *, use_memo: bool = True,
+                 entry_cap: int = DEFAULT_ENTRY_CAP):
+        self.expand = rules.expand
+        self.n = rules.graph.n
+        self.ddg = rules.ddg
         self.use_memo = use_memo
         self.entry_cap = entry_cap
         self.memo: dict[int, str] = {}
         self.nodes = 0
-        self.ddg = config.variant == DDG
         # a key scans at most 2n images, the most children a node can have
         self.half = (self.n + 1) // 2
         self.images = [_image_tables(img, self.half)
-                       for img in automorphisms(graph, 2 * self.n)] if use_memo else []
-        self.colors = {DOM: config.allowed_colors(DOM), SEPY: config.allowed_colors(SEPY)}
-        self.caps = {DOM: config.d, SEPY: config.s}
-
-    # -- rule primitives on raw masks --------------------------------------
-
-    def _has_select(self, vp, vb, dp, db, actor):
-        undom = 0
-        for c in self.colors[actor]:
-            undom |= ~(dp if c == PURPLE else db)
-        closed = self.closed
-        for v in bits(self.full & ~(vp | vb)):
-            if closed[v] & undom:
-                return True
-        return False
-
-    def _pass_child(self, vp, vb, dp, db, actor, sel, moved):
-        """The post-pass position, or None when passing is illegal here."""
-        cfg = self.cfg
-        if actor == SEPY and sel >= 1:
-            pass  # biased mid-turn stop is always available
-        else:
-            allowed = cfg.dom_may_pass if actor == DOM else cfg.sepy_may_pass
-            if not allowed:
-                return None
-            if not (moved or cfg.allow_first_turn_pass):
-                return None
-        if not self._has_select(vp, vb, dp, db, other_player(actor)):
-            return None
-        return self._resolve_incoming(vp, vb, dp, db, other_player(actor), moved)
-
-    def _resolve_incoming(self, vp, vb, dp, db, actor, moved):
-        """(actor', sel', terminal_winner_or_None); skips stuck bicolored
-        players and detects the bicolored end."""
-        if self.ddg:
-            return actor, 0, None
-        if self._has_select(vp, vb, dp, db, actor):
-            return actor, 0, None
-        other = other_player(actor)
-        if self._has_select(vp, vb, dp, db, other):
-            return other, 0, None
-        return actor, 0, DOM
-
-    def _expand(self, vp, vb, dp, db, actor, sel, moved):
-        """The children in canonical order (vertex ascending, the actor's
-        colors in order, the pass last) as (vertex, color, child) tuples;
-        vertex and color are None for the pass, and child is (vp, vb, dp,
-        db, actor, sel, moved, winner_or_None)."""
-        full = self.full
-        closed = self.closed
-        closed_verts = self.closed_verts
-        ddg = self.ddg
-        other = other_player(actor)
-        nsel = sel + 1
-        may_continue = nsel < self.caps[actor]
-        colors = self.colors[actor]
-        out = []
-        for v in bits(full & ~(vp | vb)):
-            cbit = 1 << v
-            nbhd = closed[v]
-            for c in colors:
-                if c == PURPLE:
-                    if not nbhd & ~dp:
-                        continue
-                    nvp, nvb, ndp, ndb = vp | cbit, vb, dp | nbhd, db
-                    vcmask = nvp
-                else:
-                    if not nbhd & ~db:
-                        continue
-                    nvp, nvb, ndp, ndb = vp, vb | cbit, dp, db | nbhd
-                    vcmask = nvb
-                winner = None
-                for u in closed_verts[v]:
-                    if not closed[u] & ~vcmask:
-                        winner = SEPY
-                        break
-                nactor, csel = actor, nsel
-                if winner is None:
-                    if ddg and ndp == full and ndb == full:
-                        winner = DOM
-                    elif may_continue and self._has_select(nvp, nvb, ndp, ndb, actor):
-                        pass  # same actor continues the turn
-                    elif ddg:
-                        nactor, csel = other, 0
-                    else:
-                        nactor, csel, winner = self._resolve_incoming(
-                            nvp, nvb, ndp, ndb, other, True
-                        )
-                out.append((v, c, (nvp, nvb, ndp, ndb, nactor, csel, True, winner)))
-        child = self._pass_child(vp, vb, dp, db, actor, sel, moved)
-        if child is not None:
-            a2, s2, winner = child
-            out.append((None, None, (vp, vb, dp, db, a2, s2, moved, winner)))
-        return out
-
-    def _children(self, vp, vb, dp, db, actor, sel, moved):
-        """Ordered (move, child) pairs, for the PV walk."""
-        return [(PASS if v is None else Move(v, c), child)
-                for v, c, child in self._expand(vp, vb, dp, db, actor, sel, moved)]
+                       for img in automorphisms(rules.graph, 2 * self.n)] if use_memo else []
 
     # -- search -------------------------------------------------------------
 
@@ -278,9 +163,9 @@ class _Solver:
             if hit is not None:
                 return hit
         self.nodes += 1
-        children = self._expand(vp, vb, dp, db, actor, sel, moved)
+        children = self.expand(vp, vb, dp, db, actor, sel, moved)
         if not children:
-            raise engine.EngineInvariantError("ongoing position with no moves")
+            raise EngineInvariantError("ongoing position with no moves")
         # an immediate win ends the search; only then recurse, in order
         result = other_player(actor)
         for _v, _c, child in children:
@@ -300,17 +185,6 @@ class _Solver:
             self.memo[key] = result
         return result
 
-    def _position_of(self, state: GameState):
-        return (
-            state.vmask[PURPLE],
-            state.vmask[BLUE],
-            state.dom[PURPLE],
-            state.dom[BLUE],
-            state.actor,
-            state.selections_done,
-            state.any_move_made,
-        )
-
 
 def _image_tables(img, half):
     """Two lookup tables mapping the low ``half`` bits and the remaining
@@ -327,7 +201,12 @@ def _image_tables(img, half):
 
 def _state_cap() -> int:
     env = os.environ.get("DOMGAME_STATE_CAP")
-    return int(env) if env else DEFAULT_VERTEX_CAP
+    if not env:
+        return DEFAULT_VERTEX_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"DOMGAME_STATE_CAP must be an integer, not {env!r}") from None
 
 
 def solve(config: GameConfig, g: Graph, state: GameState | None = None, *,
@@ -344,10 +223,10 @@ def solve(config: GameConfig, g: Graph, state: GameState | None = None, *,
     root = state if state is not None else new_game(config, g)
     if root.graph != g or root.config != config:
         raise ValueError("state does not belong to the given graph and config")
-    solver = _Solver(config, g, use_memo=use_memo, entry_cap=entry_cap)
-    if not root.status.ongoing:
-        return SolveResult(root.status.winner, None, 0, ())
-    pos = solver._position_of(root)
+    if root.winner is not None:
+        return SolveResult(root.winner, None, 0, ())
+    solver = _Solver(root.rules, use_memo=use_memo, entry_cap=entry_cap)
+    pos = root.position()
     winner = solver.value(*pos)
     pv = _principal_variation(solver, pos, winner)
     return SolveResult(winner, pv[0], solver.nodes, tuple(pv))
@@ -360,13 +239,13 @@ def _principal_variation(solver: _Solver, pos, winner: str, limit: int = 200) ->
     pv = []
     cur = pos
     for _ in range(limit):
-        for mv, child in solver._children(*cur):
+        for v, c, child in solver.expand(*cur):
             w = child[7] if child[7] is not None else solver.value(*child[:7])
             if w == winner:
                 break
         else:
-            raise engine.EngineInvariantError("position without a child of its value")
-        pv.append(mv)
+            raise EngineInvariantError("position without a child of its value")
+        pv.append(PASS if v is None else Move(v, c))
         if child[7] is not None:
             break
         cur = child[:7]
@@ -378,10 +257,9 @@ def best_move(config: GameConfig, g: Graph, state: GameState | None = None, *,
     """The actor's minimax move and whether it actually wins (False means
     every move loses and the least one is returned)."""
     res = solve(config, g, state, vertex_cap=vertex_cap)
-    actor = (state or new_game(config, g)).actor
     if res.best_move is None:
         raise ValueError("game is already over")
-    return res.best_move, res.winner == actor
+    return res.best_move, res.winner == (state.actor if state else config.starter)
 
 
 def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
@@ -409,11 +287,10 @@ def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
             self.state = state
 
     def walk(state: GameState):
-        st = state.status
-        if not st.ongoing:
+        if state.winner is not None:
             stats["leaves"] += 1
             stats["max_plies"] = max(stats["max_plies"], state.ply())
-            if st.winner != role:
+            if state.winner != role:
                 raise _Failed(state)
             return
         key = strat.memo_key(state, ctx)
@@ -423,13 +300,13 @@ def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
             try:
                 mv = strat.move(state, ctx)
                 nxt = state.apply(mv)
-            except engine.IllegalMoveError as exc:
+            except IllegalMoveError as exc:
                 raise StrategyViolation(str(exc), state) from exc
             strat.check_invariants(nxt, ctx)
             walk(nxt)
         else:
-            for mv in state.legal_moves():
-                walk(state.apply(mv))
+            for _mv, child in state.children():
+                walk(child)
         if key is not None:
             memo.add(key)
 
@@ -440,6 +317,9 @@ def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
     except _Failed as fail:
         verified = False
         counterexample = trace_lines(fail.state)
+    # walk refers to itself, so the cyclic collector frees it late; free the
+    # memo now
+    memo.clear()
     return VerificationReport(
         strategy=strat.sid,
         role=role,

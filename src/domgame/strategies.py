@@ -65,16 +65,16 @@ def _ons_search(state: GameState, anchor_v: int, anchor_c: int, region: int | No
     # rule 2a: frontier between the dominated region and the untouched one
     dom_any = (state.dom[PURPLE] | state.dom[BLUE]) & reg
     undom = reg & ~dom_any & g.full_mask
-    uncolored = state.uncolored_mask() & reg
+    uncolored = state.uncolored_mask()
     if undom:
-        for u in bits(uncolored & dom_any):
+        vp, vb = state.vmask
+        for u in bits(uncolored & reg & dom_any):
             if not g.nbr_mask[u] & undom:
                 continue
-            neighbor_colors = {state.colors[w] for w in g.adj[u]}
             # move color is the opposite of a colored neighbor; prefer purple
-            if BLUE in neighbor_colors:
+            if g.nbr_mask[u] & vb:
                 return Move(u, PURPLE)
-            if PURPLE in neighbor_colors:
+            if g.nbr_mask[u] & vp:
                 return Move(u, BLUE)
 
     # rule 2b: a vertex dominated in exactly one color gets (or passes on)
@@ -84,10 +84,10 @@ def _ons_search(state: GameState, anchor_v: int, anchor_c: int, region: int | No
         u = (single & -single).bit_length() - 1
         have = PURPLE if state.dom[PURPLE] >> u & 1 else BLUE
         want = opposite(have)
-        if state.colors[u] == -1:
+        if uncolored >> u & 1:
             return Move(u, want)
         for w in g.adj[u]:
-            if state.colors[w] == -1:
+            if uncolored >> w & 1:
                 return Move(w, want)
         raise StrategyViolation(
             f"vertex {u} lacks an uncolored neighbor in an ongoing game", state
@@ -103,21 +103,6 @@ def _anchor(state: GameState, *, require_sepy: bool) -> tuple[int, int]:
     if require_sepy and actor != SEPY:
         raise StrategyViolation("opposite-neighbor play expects Sepy to have just moved", state)
     return v, c
-
-
-def _winning_select(state: GameState) -> Move | None:
-    """An immediately winning selection for the mover, if any (least vertex,
-    purple first)."""
-    g = state.graph
-    for v in bits(state.uncolored_mask()):
-        for c in state.config.allowed_colors(state.actor):
-            if not state.select_legal(v, c):
-                continue
-            vc = state.vmask[c] | (1 << v)
-            for u in bits(g.closed_mask[v]):
-                if not g.closed_mask[u] & g.full_mask & ~vc:
-                    return Move(v, c)
-    return None
 
 
 # --- strategy objects -------------------------------------------------------
@@ -156,14 +141,9 @@ def _require(cond: bool, message: str):
 
 
 def _every_colored_has_opposite_neighbor(state: GameState) -> bool:
-    g = state.graph
-    for v in range(g.n):
-        c = state.colors[v]
-        if c == -1:
-            continue
-        if not g.nbr_mask[v] & state.vmask[opposite(c)]:
-            return False
-    return True
+    nbr = state.graph.nbr_mask
+    vp, vb = state.vmask
+    return all(nbr[v] & vb for v in bits(vp)) and all(nbr[v] & vp for v in bits(vb))
 
 
 class Ons(Strategy):
@@ -300,25 +280,14 @@ class DomPass(Strategy):
             raise StrategyViolation("no selection to answer", state)
         v, c, _actor = last
         region = state.graph.component_of(v)
-        if not _region_has_select(state, region):
-            return PASS
+        if not state.expand(region, passes=False):
+            return PASS  # no legal selection left in that component
         mv = _ons_search(state, v, c, region)
         if mv is None:
             raise StrategyViolation(
                 "component holds legal moves but no opposite-neighbor move", state
             )
         return mv
-
-
-def _region_has_select(state: GameState, region: int) -> bool:
-    g = state.graph
-    undom = 0
-    for c in state.config.allowed_colors(state.actor):
-        undom |= g.full_mask & ~state.dom[c]
-    for v in bits(state.uncolored_mask() & region):
-        if g.closed_mask[v] & undom:
-            return True
-    return False
 
 
 def component_safe(state: GameState, comp) -> bool:
@@ -639,9 +608,10 @@ class SepySubdiv(Strategy):
         return submap
 
     def move(self, state, ctx):
-        mv = _winning_select(state)
-        if mv is not None:
-            return mv
+        # an immediate win first; a kernel child ends with its winner
+        for v, c, child in state.expand(passes=False):
+            if child[-1] == SEPY:
+                return Move(v, c)
         first_actor, first_move = state.history[0]
         if first_actor != DOM or first_move.is_pass:
             raise StrategyViolation("subdivision play expects Dom's opening selection", state)
@@ -702,11 +672,9 @@ class GreedyWin(Strategy):
         return 0 if seed is None else seed
 
     def move(self, state, ctx):
-        for mv in state.legal_moves():
-            if mv.is_pass:
-                continue
-            if state.apply(mv).status.winner == state.actor:
-                return mv
+        for v, c, child in state.expand(passes=False):
+            if child[-1] == state.actor:
+                return Move(v, c)
         return RandomStrategy.move(self, state, ctx)
 
 
@@ -741,57 +709,3 @@ def get_strategy(sid: str) -> Strategy:
     if key not in _REGISTRY:
         raise KeyError(f"unknown strategy {sid!r}; known: {', '.join(strategy_ids())}")
     return _REGISTRY[key]()
-
-
-# --- spec-level convenience wrappers -----------------------------------------
-
-def ons_move(state: GameState) -> Move:
-    strat = Ons()
-    return strat.move(state, strat.prepare(state.config, state.graph))
-
-
-def onsp_move(state: GameState) -> Move:
-    strat = Onsp()
-    return strat.move(state, strat.prepare(state.config, state.graph))
-
-
-def dom_start_safe_move(state: GameState) -> Move:
-    strat = DomStartSafe()
-    return strat.move(state, strat.prepare(state.config, state.graph))
-
-
-def dom_pass_move(state: GameState) -> Move:
-    strat = DomPass()
-    return strat.move(state, strat.prepare(state.config, state.graph))
-
-
-def biased_dom_move(state: GameState) -> Move:
-    strat = BiasedDom()
-    return strat.move(state, strat.prepare(state.config, state.graph))
-
-
-def bdg_matching_move(state: GameState, plan: BdgPlan) -> Move:
-    return BdgMatching().move(state, plan)
-
-
-def bdg_general_move(state: GameState, plan: BdgPlan) -> Move:
-    return BdgGeneral().move(state, plan)
-
-
-def sepy_cycle_move(state: GameState, mem_order=None) -> Move:
-    strat = SepyCycle()
-    ctx = mem_order if mem_order is not None else strat.prepare(state.config, state.graph)
-    return strat.move(state, ctx)
-
-
-def sepy_subdiv_move(state: GameState, submap: SubdivisionMap) -> Move:
-    strat = SepySubdiv()
-    return strat.move(state, strat.prepare(state.config, state.graph, submap=submap))
-
-
-def random_move(state: GameState, seed: int = 0) -> Move:
-    return RandomStrategy().move(state, seed)
-
-
-def greedy_win_move(state: GameState, seed: int = 0) -> Move:
-    return GreedyWin().move(state, seed)

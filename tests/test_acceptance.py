@@ -16,15 +16,16 @@ def test_acceptance(item):
 
 
 def test_soundness_checker_has_teeth():
-    """Fault injection: a corrupted ledger must fail the consistency check."""
+    """Fault injection: a corrupted dominated mask must fail the consistency
+    check."""
     from domgame.engine import GameConfig, Move, PURPLE, new_game
     from domgame.graphs import gen_cycle
 
     state = new_game(GameConfig(variant="ddg", starter="dom"), gen_cycle(4))
     state = state.apply(Move(0, PURPLE))
     _assert_state_sound(state)
-    state.ledger[0] += 1
-    with pytest.raises(AssertionError, match="ledger"):
+    state.dom = (state.dom[PURPLE] ^ 0b100, state.dom[1])
+    with pytest.raises(AssertionError, match="recount"):
         _assert_state_sound(state)
 
 

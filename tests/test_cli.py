@@ -61,6 +61,13 @@ def test_solve_respects_state_cap(capsys, monkeypatch):
     assert code == 2 and "resource" in err
 
 
+def test_non_integer_state_cap_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("DOMGAME_STATE_CAP", "abc")
+    code, out, err = run(capsys, "solve", "--graph", "cycle:5", "--start", "dom")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "DOMGAME_STATE_CAP" in err
+
+
 def test_usage_error_on_bad_graph(capsys):
     code, _, err = run(capsys, "solve", "--graph", "tesseract:4", "--start", "dom")
     assert code == 1 and "error" in err
@@ -71,6 +78,27 @@ def test_verify_ons_single_graph(capsys):
                        "--graph", "cycle:5", "--start", "sepy")
     assert code == 0
     assert json.loads(out)["verified"] is True
+
+
+def _help(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    return " ".join(out.split())
+
+
+def test_game_flags_are_declared_once(capsys):
+    solve_help, verify_help, play_help = (_help(capsys, c) for c in ("solve", "verify", "play"))
+    flags = (
+        "--graph GRAPH generator spec, file path, or graph6 line",
+        "--variant {ddg,bdg} disjoint (ddg) or bicolored (bdg) game",
+        "--start {dom,sepy} who moves first",
+        "-d D Dom selections per turn",
+        "-s S Sepy max selections per turn",
+        "--pass {none,dom,sepy} which player holds pass rights",
+        "--allow-first-turn-pass lift the ban on passing in the game's very first move",
+    )
+    for flag in flags:
+        assert flag in solve_help and flag in verify_help and flag in play_help, flag
 
 
 def test_verify_corpus(capsys):

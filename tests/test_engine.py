@@ -1,5 +1,5 @@
 """Rules engine: legality, turn structure, passing, bias, termination, the
-domination ledger, and the trace format."""
+dominated masks, and the trace format."""
 
 import random
 
@@ -18,9 +18,6 @@ from domgame.engine import (
     GameConfig,
     IllegalMoveError,
     Move,
-    apply,
-    is_legal,
-    legal_moves,
     new_game,
     replay,
     trace_lines,
@@ -81,55 +78,55 @@ def test_biased_implies_sepy_pass():
 
 def test_select_legal_on_fresh_k2():
     st_ = new_game(ddg(DOM), gen_path(2))
-    assert is_legal(st_, Move(0, PURPLE))
-    assert len(legal_moves(st_)) == 4
+    assert st_.select_legal(0, PURPLE)
+    assert len(st_.legal_moves()) == 4
 
 
 def test_double_domination_blocks_same_color():
     st_ = play(new_game(ddg(DOM), gen_path(2)), Move(0, PURPLE))
-    assert not is_legal(st_, Move(1, PURPLE))
-    assert legal_moves(st_) == [Move(1, BLUE)]
+    assert not st_.select_legal(1, PURPLE)
+    assert st_.legal_moves() == [Move(1, BLUE)]
 
 
 def test_p3_center_blocks_purple():
     st_ = play(new_game(ddg(SEPY), gen_path(3)), Move(1, PURPLE))
-    assert not is_legal(st_, Move(0, PURPLE))
-    assert is_legal(st_, Move(0, BLUE))
+    assert not st_.select_legal(0, PURPLE)
+    assert st_.select_legal(0, BLUE)
 
 
 def test_first_move_pass_banned():
     st_ = new_game(ddg(SEPY, pass_rights="sepy"), gen_cycle(4))
-    assert not is_legal(st_, PASS)
+    assert PASS not in st_.legal_moves()
     st_ = st_.apply(Move(0, PURPLE))  # Sepy's forced selection
     st_ = st_.apply(Move(1, BLUE))  # Dom
-    assert is_legal(st_, PASS)
+    assert PASS in st_.legal_moves()
 
 
 def test_first_move_pass_flag():
     cfg = GameConfig(variant="ddg", starter=SEPY, pass_rights="sepy",
                      allow_first_turn_pass=True)
     st_ = new_game(cfg, gen_cycle(4))
-    assert is_legal(st_, PASS)
+    assert PASS in st_.legal_moves()
 
 
 def test_pass_needs_rights():
     st_ = play(new_game(ddg(SEPY), gen_cycle(4)), Move(0, PURPLE))
-    assert not is_legal(st_, PASS)  # Dom holds no rights
+    assert PASS not in st_.legal_moves()  # Dom holds no rights
 
 
 def test_legal_moves_count_fresh_c4():
-    assert len(legal_moves(new_game(ddg(DOM), gen_cycle(4)))) == 8
+    assert len(new_game(ddg(DOM), gen_cycle(4)).legal_moves()) == 8
 
 
 def test_legal_moves_ordering():
-    moves = legal_moves(new_game(ddg(DOM), gen_path(2)))
+    moves = new_game(ddg(DOM), gen_path(2)).legal_moves()
     assert moves == [Move(0, PURPLE), Move(0, BLUE), Move(1, PURPLE), Move(1, BLUE)]
 
 
 def test_bdg_binds_colors():
     st_ = new_game(bdg(DOM), gen_cycle(4))
-    assert not is_legal(st_, Move(0, BLUE))
-    assert all(m.color == PURPLE for m in legal_moves(st_))
+    assert not st_.select_legal(0, BLUE)
+    assert all(m.color == PURPLE for m in st_.legal_moves())
 
 
 # --- apply, wins, and witnesses -------------------------------------------------
@@ -164,6 +161,15 @@ def test_illegal_apply_rejected():
         st_.apply(Move(1, PURPLE))
     with pytest.raises(IllegalMoveError):
         st_.apply(Move(0, BLUE))
+
+
+@pytest.mark.parametrize("move", [Move(-1, PURPLE), Move(5, PURPLE), Move(0, 2), Move("a", BLUE),
+                                  Move(1.0, PURPLE)])
+def test_out_of_range_moves_are_illegal(move):
+    st_ = new_game(ddg(DOM), gen_cycle(5))
+    with pytest.raises(IllegalMoveError):
+        st_.apply(move)
+    assert not st_.select_legal(move.vertex, move.color)
 
 
 def test_states_are_values():
@@ -233,23 +239,28 @@ def test_bdg_with_pass_rights_cannot_stall():
     st_ = new_game(bdg(SEPY, pass_rights="sepy"), gen_path(3))
     st_ = play(st_, Move(0, BLUE), Move(1, PURPLE))
     assert st_.actor == SEPY  # Dom is stuck and skipped from here on
-    assert not is_legal(st_, PASS)
+    assert PASS not in st_.legal_moves()
     st_ = st_.apply(Move(2, BLUE))
     assert st_.status.winner == DOM
 
 
-# --- ledger and properties ----------------------------------------------------------
+# --- dominated masks and properties -------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
 @given(graphs_st(min_n=2, max_n=9, isolate_free=True), st.integers(0, 2**30))
-def test_ledger_matches_recount_on_playouts(g, seed):
+def test_dominated_masks_match_recount_on_playouts(g, seed):
     rng = random.Random(seed)
     cfg = [ddg(DOM), ddg(SEPY), ddg(SEPY, pass_rights="sepy"), bdg(DOM)][seed % 4]
     state = new_game(cfg, g)
     while state.status.ongoing:
         moves = state.legal_moves()
         state = state.apply(moves[rng.randrange(len(moves))])
-        assert state.ledger == state.recount_ledger()
+        for c in (PURPLE, BLUE):
+            recount = 0
+            for v in range(g.n):
+                if state.vmask[c] >> v & 1:
+                    recount |= g.closed_mask[v]
+            assert state.dom[c] == recount
     assert state.status.winner in (DOM, SEPY)
 
 
@@ -297,6 +308,54 @@ def test_replay_detects_tampering():
     lines[1]["status"] = "ongoing"
     with pytest.raises(IllegalMoveError):
         replay(ddg(DOM), gen_path(2), lines)
+
+
+_MALFORMED_MOVES = [{"v": 1, "c": "green"}, {"x": 1}, "jump", {"v": "a", "c": "blue"},
+                    {"v": -1, "c": "purple"}, {"v": 99, "c": "blue"}, None, [1, "blue"]]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _corrupted_trace(draw):
+    """A real trace of a random playout with one record corrupted: replaced
+    whole, given a malformed move, or with a field dropped or replaced."""
+    cfg = ddg(SEPY, pass_rights="sepy")
+    g = gen_cycle(6)
+    lines = trace_lines(random_playout(new_game(cfg, g), random.Random(draw(st.integers(0, 99)))))
+    i = draw(st.integers(0, len(lines) - 1))
+    key = draw(st.sampled_from(["ply", "actor", "move", "status"]))
+    how = draw(st.sampled_from(["record", "move", "drop", "field"]))
+    if how == "record":
+        lines[i] = draw(_JSON)
+    elif how == "move":
+        lines[i]["move"] = draw(st.sampled_from(_MALFORMED_MOVES) | _JSON)
+    elif how == "drop":
+        del lines[i][key]
+    else:
+        lines[i][key] = draw(_JSON)
+    return cfg, g, lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corrupted_trace())
+def test_replay_of_a_corrupted_trace_raises_only_illegal_move(case):
+    cfg, g, lines = case
+    try:
+        replay(cfg, g, lines)
+    except IllegalMoveError:
+        pass
+
+
+@pytest.mark.parametrize("move", _MALFORMED_MOVES)
+def test_replay_rejects_malformed_moves(move):
+    lines = trace_lines(play(new_game(ddg(DOM), gen_cycle(5)), Move(0, PURPLE)))
+    lines[0]["move"] = move
+    with pytest.raises(IllegalMoveError):
+        replay(ddg(DOM), gen_cycle(5), lines)
 
 
 def test_move_json_round_trip():

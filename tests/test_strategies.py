@@ -25,24 +25,19 @@ from domgame.strategies import (
     BdgPlan,
     NotApplicable,
     StrategyViolation,
-    bdg_general_move,
-    bdg_matching_move,
-    biased_dom_move,
     component_safe,
-    dom_pass_move,
-    dom_start_safe_move,
     get_strategy,
-    greedy_win_move,
-    ons_move,
-    onsp_move,
-    random_move,
-    sepy_cycle_move,
-    sepy_subdiv_move,
 )
 
 
 def ddg(starter, **kw):
     return GameConfig(variant="ddg", starter=starter, **kw)
+
+
+def move_of(sid, state, **prepare):
+    """The move of strategy ``sid``, prepared for the state's game."""
+    strat = get_strategy(sid)
+    return strat.move(state, strat.prepare(state.config, state.graph, **prepare))
 
 
 def play(state, *moves):
@@ -55,12 +50,12 @@ def play(state, *moves):
 
 def test_ons_answers_neighbor():
     st = play(new_game(ddg(SEPY), gen_cycle(4)), Move(0, PURPLE))
-    assert ons_move(st) == Move(1, BLUE)
+    assert move_of("ons", st) == Move(1, BLUE)
 
 
 def test_ons_lowest_candidate_on_path():
     st = play(new_game(ddg(SEPY), gen_path(3)), Move(1, BLUE))
-    assert ons_move(st) == Move(0, PURPLE)
+    assert move_of("ons", st) == Move(0, PURPLE)
 
 
 def test_ons_frontier_case_when_direct_answer_blocked():
@@ -73,7 +68,7 @@ def test_ons_frontier_case_when_direct_answer_blocked():
         Move(2, BLUE), Move(5, BLUE), Move(3, PURPLE),
     )
     assert not st.select_legal(4, BLUE)
-    mv = ons_move(st)
+    mv = move_of("ons", st)
     assert mv == Move(1, PURPLE)
     assert st.select_legal(mv.vertex, mv.color)
     colors = {st.colors[u] for u in g.adj[mv.vertex]}
@@ -88,26 +83,26 @@ def test_ons_single_color_case_when_nothing_undominated():
         Move(1, PURPLE), Move(2, BLUE), Move(0, BLUE),
     )
     assert st.undominated_mask() == 0
-    assert ons_move(st) == Move(3, PURPLE)
+    assert move_of("ons", st) == Move(3, PURPLE)
 
 
 def test_ons_requires_sepy_anchor():
     st = new_game(ddg(SEPY), gen_cycle(4))
     with pytest.raises(StrategyViolation):
-        ons_move(st)
+        move_of("ons", st)
 
 
 def test_onsp_after_pass_answers_own_vertex():
     cfg = ddg(SEPY, pass_rights="sepy")
     st = play(new_game(cfg, gen_cycle(6)), Move(0, PURPLE), Move(1, BLUE), PASS)
-    mv = onsp_move(st)
+    mv = move_of("onsp", st)
     assert mv == Move(2, PURPLE)  # least uncolored neighbor of Dom's own vertex 1
 
 
 def test_onsp_equals_ons_without_pass():
     cfg = ddg(SEPY, pass_rights="sepy")
     st = play(new_game(cfg, gen_cycle(6)), Move(3, BLUE))
-    assert onsp_move(st) == Move(2, PURPLE)
+    assert move_of("onsp", st) == Move(2, PURPLE)
 
 
 # --- safe first move -------------------------------------------------------------
@@ -115,23 +110,23 @@ def test_onsp_equals_ons_without_pass():
 def test_safe_start_on_paths():
     for n in range(2, 8):
         st = new_game(ddg(DOM), gen_path(n))
-        assert dom_start_safe_move(st) == Move(0 if n == 2 else 1, PURPLE)
+        assert move_of("dom-start-safe", st) == Move(0 if n == 2 else 1, PURPLE)
 
 
 def test_safe_start_on_complete():
     st = new_game(ddg(DOM), gen_complete(4))
-    assert dom_start_safe_move(st) == Move(0, PURPLE)
+    assert move_of("dom-start-safe", st) == Move(0, PURPLE)
 
 
 def test_safe_start_not_applicable_on_c8():
     st = new_game(ddg(DOM), gen_cycle(8))
     with pytest.raises(NotApplicable):
-        dom_start_safe_move(st)
+        move_of("dom-start-safe", st)
 
 
 def test_safe_start_delegates_afterwards():
     st = play(new_game(ddg(DOM), gen_path(4)), Move(1, PURPLE), Move(3, BLUE))
-    mv = dom_start_safe_move(st)
+    mv = move_of("dom-start-safe", st)
     assert mv == Move(2, PURPLE)  # answer next to Sepy's vertex
 
 
@@ -141,7 +136,7 @@ def test_dom_pass_follows_sepy_component():
     g = disjoint_union(gen_cycle(4), gen_cycle(8))
     cfg = ddg(SEPY, pass_rights="dom")
     st = play(new_game(cfg, g), Move(4, PURPLE))  # Sepy opens inside C8
-    mv = dom_pass_move(st)
+    mv = move_of("dom-pass", st)
     assert mv.vertex in range(4, 12)
 
 
@@ -151,14 +146,14 @@ def test_dom_pass_passes_when_component_done():
     # K2 component: two selections finish it; Sepy made the last move there
     st = play(new_game(cfg, g), Move(0, PURPLE), Move(2, PURPLE), Move(1, BLUE))
     assert st.actor == DOM
-    assert dom_pass_move(st) == PASS
+    assert move_of("dom-pass", st) == PASS
 
 
 def test_dom_pass_opens_dom_win_component():
     g = disjoint_union(gen_cycle(4), gen_cycle(8))
     cfg = ddg(DOM, pass_rights="dom")
     st = new_game(cfg, g)
-    mv = dom_pass_move(st)
+    mv = move_of("dom-pass", st)
     assert mv.vertex in range(4)  # the C4 side is the Dom-win component
 
 
@@ -166,7 +161,7 @@ def test_dom_pass_not_applicable_without_dom_win_component():
     cfg = ddg(DOM, pass_rights="dom")
     st = new_game(cfg, gen_cycle(8))
     with pytest.raises(NotApplicable):
-        dom_pass_move(st)
+        move_of("dom-pass", st)
 
 
 # --- component safety --------------------------------------------------------------
@@ -198,16 +193,16 @@ def test_biased_opens_then_answers():
     cfg = ddg(DOM, d=2, s=1)
     g = disjoint_union(gen_cycle(4), gen_cycle(6))
     st = new_game(cfg, g)
-    m1 = biased_dom_move(st)
+    m1 = move_of("biased-dom", st)
     assert m1 == Move(0, PURPLE)
     st = st.apply(m1)
-    assert biased_dom_move(st) == Move(1, BLUE)
+    assert move_of("biased-dom", st) == Move(1, BLUE)
 
 
 def test_biased_pure_answering_on_connected():
     cfg = ddg(SEPY, d=2, s=1)
     st = play(new_game(cfg, gen_cycle(8)), Move(0, PURPLE))
-    assert biased_dom_move(st) == Move(1, BLUE)
+    assert move_of("biased-dom", st) == Move(1, BLUE)
 
 
 def test_biased_redirects_final_completion_to_fresh_component():
@@ -215,16 +210,16 @@ def test_biased_redirects_final_completion_to_fresh_component():
     g = disjoint_union(gen_path(2), gen_path(3))
     st = new_game(cfg, g)
     # turn 1: open K2 and answer it
-    st = play(st, biased_dom_move(st))
-    st = play(st, biased_dom_move(st))
+    st = play(st, move_of("biased-dom", st))
+    st = play(st, move_of("biased-dom", st))
     assert [m for _a, m in st.history] == [Move(0, PURPLE), Move(1, BLUE)]
     assert st.status.winner is None and st.actor == SEPY
     st = st.apply(PASS)
     # turn 2: opposite-neighbor play has no move (K2 done), so Dom must open
     # the fresh P3 and answer inside it rather than stranding a lone opener
-    m3 = biased_dom_move(st)
+    m3 = move_of("biased-dom", st)
     st = st.apply(m3)
-    m4 = biased_dom_move(st)
+    m4 = move_of("biased-dom", st)
     st = st.apply(m4)
     assert m3.vertex in (2, 3, 4) and m4.vertex in (2, 3, 4)
     assert m4.color == 1 - m3.color
@@ -237,10 +232,10 @@ def test_biased_skips_completion_when_two_left():
     g = disjoint_union(gen_path(2), gen_path(3))
     st = play(new_game(cfg, g), Move(0, PURPLE))  # Sepy opens K2
     assert st.actor == DOM and st.config.d - st.selections_done == 2
-    m1 = biased_dom_move(st)
+    m1 = move_of("biased-dom", st)
     assert m1.vertex in (2, 3, 4)  # completion (1, blue) deferred: K2 is safe
     st = st.apply(m1)
-    m2 = biased_dom_move(st)
+    m2 = move_of("biased-dom", st)
     assert m2.vertex in (2, 3, 4) and m2.color == 1 - m1.color
 
 
@@ -250,14 +245,14 @@ def test_bdg_matching_partner_reply():
     g = gen_cycle(4)
     plan = BdgPlan.build(g)
     st = play(new_game(GameConfig(variant="bdg", starter=SEPY), g), Move(0, BLUE))
-    assert bdg_matching_move(st, plan) == Move(1, PURPLE)
+    assert get_strategy("bdg-matching").move(st, plan) == Move(1, PURPLE)
 
 
 def test_bdg_matching_opens_untouched_pair():
     g = gen_cycle(4)
     plan = BdgPlan.build(g)
     st = new_game(GameConfig(variant="bdg", starter=DOM), g)
-    assert bdg_matching_move(st, plan) == Move(0, PURPLE)
+    assert get_strategy("bdg-matching").move(st, plan) == Move(0, PURPLE)
 
 
 def test_bdg_matching_not_applicable_without_perfect_matching():
@@ -270,14 +265,14 @@ def test_bdg_general_opens_star_center():
     g = gen_path(3)
     plan = BdgPlan.build(g)
     st = new_game(GameConfig(variant="bdg", starter=DOM), g)
-    assert bdg_general_move(st, plan) == Move(1, PURPLE)
+    assert get_strategy("bdg-general").move(st, plan) == Move(1, PURPLE)
 
 
 def test_bdg_general_partner_reply_on_bare_edge():
     g = gen_cycle(4)
     plan = BdgPlan.build(g)
     st = play(new_game(GameConfig(variant="bdg", starter=SEPY), g), Move(2, BLUE))
-    assert bdg_general_move(st, plan) == Move(3, PURPLE)
+    assert get_strategy("bdg-general").move(st, plan) == Move(3, PURPLE)
 
 
 def test_bdg_general_postpones_externals():
@@ -286,7 +281,7 @@ def test_bdg_general_postpones_externals():
     plan = BdgPlan.build(g)
     assert plan.external_mask == 0b1100
     st = play(new_game(GameConfig(variant="bdg", starter=SEPY), g), Move(2, BLUE))
-    mv = bdg_general_move(st, plan)
+    mv = get_strategy("bdg-general").move(st, plan)
     assert mv == Move(0, PURPLE)  # the center, not an external vertex
 
 
@@ -294,9 +289,9 @@ def test_bdg_general_postpones_externals():
 
 def test_cycle_strategy_canonical_line_near():
     st = play(new_game(ddg(DOM), gen_cycle(8)), Move(0, PURPLE))
-    assert sepy_cycle_move(st) == Move(1, PURPLE)
+    assert move_of("sepy-cycle", st) == Move(1, PURPLE)
     st = play(st, Move(1, PURPLE), Move(3, BLUE))  # Dom's second at position 4
-    mv = sepy_cycle_move(st)
+    mv = move_of("sepy-cycle", st)
     assert mv == Move(7, PURPLE)
     assert play(st, mv).status.winner == SEPY
 
@@ -304,17 +299,17 @@ def test_cycle_strategy_canonical_line_near():
 def test_cycle_strategy_canonical_line_far():
     st = play(new_game(ddg(DOM), gen_cycle(8)),
               Move(0, PURPLE), Move(1, PURPLE), Move(5, PURPLE))
-    mv = sepy_cycle_move(st)
+    mv = move_of("sepy-cycle", st)
     assert mv == Move(2, PURPLE)
     assert play(st, mv).status.winner == SEPY
 
 
 def test_cycle_strategy_normalizes_any_opening():
     st = play(new_game(ddg(DOM), gen_cycle(8)), Move(2, BLUE))
-    mv = sepy_cycle_move(st)
+    mv = move_of("sepy-cycle", st)
     assert mv == Move(1, BLUE)  # lesser neighbor of 2, echoing Dom's color
     st = play(st, mv, Move(4, PURPLE))
-    mv2 = sepy_cycle_move(st)
+    mv2 = move_of("sepy-cycle", st)
     assert play(st, mv2).status.winner == SEPY
 
 
@@ -330,7 +325,7 @@ def test_subdiv_strategy_double_threat():
     st = new_game(ddg(DOM), sub)
     x = smap.edge_points[(0, 1)][0]
     st = st.apply(Move(x, PURPLE))
-    mv = sepy_subdiv_move(st, smap)
+    mv = move_of("sepy-subdiv", st, submap=smap)
     assert mv == Move(smap.inner_partner(x), PURPLE)
 
 
@@ -338,7 +333,7 @@ def test_subdiv_strategy_fans_out_from_base_vertex():
     base = gen_cycle(4)
     sub, smap = subdivide3(base)
     st = new_game(ddg(DOM), sub).apply(Move(0, PURPLE))
-    mv = sepy_subdiv_move(st, smap)
+    mv = move_of("sepy-subdiv", st, submap=smap)
     nears = sorted(near for near, _f, _o in smap.paths_at(0))
     assert mv == Move(nears[0], PURPLE)
 
@@ -360,7 +355,7 @@ def test_subdiv_strategy_takes_immediate_win():
     # Dom wanders off; either end of the path now wins immediately
     far = smap.edge_points[(2, 3)][0]
     st = st.apply(Move(far, BLUE))
-    mv = sepy_subdiv_move(st, smap)
+    mv = move_of("sepy-subdiv", st, submap=smap)
     assert play(st, mv).status.winner == SEPY
 
 
@@ -368,19 +363,19 @@ def test_subdiv_strategy_takes_immediate_win():
 
 def test_random_is_deterministic_per_seed():
     st = new_game(ddg(DOM), gen_cycle(6))
-    assert random_move(st, 7) == random_move(st, 7)
+    assert move_of("random", st, seed=7) == move_of("random", st, seed=7)
 
 
 def test_greedy_prefers_immediate_win():
     st = play(new_game(ddg(DOM), gen_cycle(8)),
               Move(0, PURPLE), Move(1, PURPLE), Move(3, BLUE))
-    mv = greedy_win_move(st, 0)
+    mv = move_of("greedy", st, seed=0)
     assert play(st, mv).status.winner == SEPY
 
 
 def test_greedy_falls_back_to_random():
     st = new_game(ddg(DOM), gen_cycle(6))
-    assert greedy_win_move(st, 5) == random_move(st, 5)
+    assert move_of("greedy", st, seed=5) == move_of("random", st, seed=5)
 
 
 def test_registry_aliases():
