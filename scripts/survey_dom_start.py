@@ -1,4 +1,4 @@
-"""Classify the Dom-start disjoint game over all connected graphs n <= 6.
+"""Classify the Dom-start disjoint game over all connected graphs n <= 7.
 
 Which graphs are Dom-win when Dom must move first is open in general; the
 nested-neighborhood condition (some N[u] inside N[v]) is sufficient but not
@@ -23,7 +23,7 @@ def main():
     tally = Counter()
     sepy_wins = []
     dom_wins_without_pair = []
-    for n in range(2, 7):
+    for n in range(2, 8):
         for g in enumerate_connected_graphs(n):
             winner = solve(cfg, g).winner
             has_pair = _safe_first_vertex(g) is not None

@@ -357,7 +357,8 @@ def crit_engine_properties() -> str:
             for _ in range(100):
                 state, twin = base, base
                 while state.status.ongoing and rng.random() < 0.7:
-                    mv = state.legal_moves()[rng.randrange(len(state.legal_moves()))]
+                    moves = state.legal_moves()
+                    mv = moves[rng.randrange(len(moves))]
                     if mv.is_pass:
                         break
                     state = state.apply(mv)
@@ -407,11 +408,15 @@ def _brute_matching_size(g: Graph) -> int:
 def crit_graph_oracles() -> str:
     """Graph-layer oracles: blossom matching equals brute force on every
     graph n <= 8, the Petersen graph matches 5 edges, graph6 round-trips the
-    whole n <= 6 corpus, and connected-graph counts match the known values."""
-    counts = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+    whole n <= 6 corpus, and graph counts match the known values (OEIS
+    A001349 for connected graphs, A000088 for all graphs)."""
+    counts = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
     for n, expected in counts.items():
         got = len(enumerate_connected_graphs(n))
         _check(got == expected, f"{got} connected graphs on {n} vertices, expected {expected}")
+    for n, expected in {7: 1044, 8: 12346}.items():
+        got = len(enumerate_graphs(n))
+        _check(got == expected, f"{got} graphs on {n} vertices, expected {expected}")
 
     checked = 0
     for n in range(1, 9):

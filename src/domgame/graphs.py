@@ -5,10 +5,18 @@ to isomorphism.
 Vertices are dense integer indices 0..n-1.  Adjacency is kept both as sorted
 tuples and as bitmasks; ``closed_mask[v]`` is N[v] (neighbors plus v itself),
 which is what the domination games query constantly.
+
+Enumeration grows each (n-1)-vertex representative P by one vertex joined
+to an attachment set A, and keeps A only when (a) the new vertex has minimum
+degree in the child and (b) A is the least set of its orbit under Aut(P).
+Every graph arises this way (delete a minimum-degree vertex; rule (a) is
+invariant under Aut(P), so the orbit's least set survives it), and canonical
+keys remove the isomorphic children of different parents.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -410,8 +418,21 @@ _all_graphs_cache: dict[int, tuple[Graph, ...]] = {}
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """All simple graphs on n vertices up to isomorphism, 1 <= n <= 8.
 
-    Built by augmenting the (n-1)-vertex representatives with one fresh
-    vertex over every attachment subset, deduplicated by canonical key.
+    Built by augmenting each (n-1)-vertex representative P with one fresh
+    vertex joined to an attachment set A, deduplicated by canonical key.  A
+    set A is augmented only when
+
+    (a) the fresh vertex has minimum degree in the child:
+        ``|A| <= deg_P(u) + [u in A]`` for every vertex u of P, and
+    (b) A is the least set (as a bitmask) of its orbit under Aut(P).
+
+    Neither rule loses a graph.  Every graph G has a minimum-degree vertex
+    v; G - v is isomorphic to some representative P, and P joined to the
+    image of N(v) passes (a).  Rule (a) is invariant under Aut(P), so the
+    least set of that set's orbit passes both rules and yields a graph
+    isomorphic to G.  The canonical key removes the duplicates left across
+    parents, so the result (sorted by key) is the same as augmenting every
+    subset.
     """
     if not 1 <= n <= _ENUM_LIMIT:
         raise GraphError(f"enumeration supports 1 <= n <= {_ENUM_LIMIT}, got {n}")
@@ -423,7 +444,14 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
         seen: dict[tuple, Graph] = {}
         for parent in enumerate_graphs(n - 1):
             base_edges = parent.edges()
+            deg = [len(a) for a in parent.adj]
+            group = automorphisms(parent, math.factorial(parent.n))
             for attach in range(1 << (n - 1)):
+                size = attach.bit_count()
+                if any(size > deg[u] + (attach >> u & 1) for u in range(n - 1)):
+                    continue
+                if any(sum(1 << img[u] for u in bits(attach)) < attach for img in group):
+                    continue
                 edges = base_edges + [(u, n - 1) for u in bits(attach)]
                 key = canonical_key(Graph(n, edges))
                 if key not in seen:

@@ -1,7 +1,10 @@
 """graph6 encoding, edge-list text, and generator spec strings."""
 
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import graphs_st
 from domgame.formats import (
@@ -137,3 +140,116 @@ def test_is_generator_spec():
     assert is_generator_spec("cycle:8")
     assert is_generator_spec("union:cycle:4+path:2")
     assert not is_generator_spec("A_")
+
+
+# --- fuzzing: malformed input raises only the typed errors ------------------
+
+_TYPED = (GraphError, ParseError)
+_MAX_N = 64
+
+
+def _numbers_small(text):
+    """True when no digit run in text (with the underscores int() accepts)
+    exceeds _MAX_N, so that no example can ask for a larger graph."""
+    return all(int(run.replace("_", "")) <= _MAX_N for run in re.findall(r"\d[\d_]*", text))
+
+
+def _raises_only_typed(parse, text):
+    try:
+        parse(text)
+    except _TYPED:
+        pass
+
+
+def _mutated(s, data):
+    """s with one of: a character replaced, a prefix kept, or text appended."""
+    kind = data.draw(st.sampled_from(["replace", "truncate", "append"]))
+    if kind == "replace" and s:
+        i = data.draw(st.integers(0, len(s) - 1))
+        return s[:i] + data.draw(st.characters()) + s[i + 1:]
+    if kind == "truncate":
+        return s[:data.draw(st.integers(0, len(s)))]
+    return s + data.draw(st.text(max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=40) | st.text(st.characters(min_codepoint=58, max_codepoint=130), max_size=40))
+@example("~")
+@example("~~")
+@example(">>graph6<<~")
+@example("~??")
+def test_fuzz_graph6_arbitrary_text(text):
+    # 40 characters hold a graph6 body of at most 22 vertices
+    _raises_only_typed(parse_graph6, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_st(max_n=_MAX_N), st.data())
+def test_fuzz_graph6_near_valid(g, data):
+    _raises_only_typed(parse_graph6, _mutated(emit_graph6(g), data))
+
+
+_EDGE_TOKENS = st.one_of(
+    st.integers(-3, _MAX_N + 3).map(str),
+    st.text(alphabet=" \t#x-+_0.", max_size=4),
+    st.sampled_from(["", "#", "1.5", "0x3", "1_0", "nan", "\u0663"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_EDGE_TOKENS, max_size=4).map(" ".join), max_size=8),
+       st.sampled_from(["\n", "\r\n", "\r", "\u2028"]))
+def test_fuzz_edge_list_token_lines(lines, newline):
+    _raises_only_typed(parse_edge_list, newline.join(lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=60))
+def test_fuzz_edge_list_arbitrary_text(text):
+    assume(_numbers_small(text))
+    _raises_only_typed(parse_edge_list, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_st(max_n=_MAX_N), st.data())
+def test_fuzz_edge_list_near_valid(g, data):
+    text = _mutated(emit_edge_list(g), data)
+    assume(_numbers_small(text))
+    _raises_only_typed(parse_edge_list, text)
+
+
+_SIZE_ARGS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["", "x", " 4", "4 ", "+3", "-0", "3.0", "0x4", "1_2", "\u0663", "3:4"]),
+)
+_LEAF_SPECS = st.one_of(
+    st.builds("{}:{}".format,
+              st.sampled_from(["cycle", "path", "complete", "petersen", "octahedron", "", "Cycle"]),
+              _SIZE_ARGS),
+    st.sampled_from(["petersen", " petersen ", ":", "", "union:", "subdiv2:", "+"]),
+)
+_SPECS = st.recursive(
+    _LEAF_SPECS,
+    lambda inner: st.one_of(inner.map("subdiv2:{}".format),
+                            st.lists(inner, max_size=3).map(lambda parts: "union:" + "+".join(parts))),
+    max_leaves=6,
+)
+
+
+def _spec_small(spec):
+    # each subdivision level triples the edge count
+    return _numbers_small(spec) and spec.count("subdiv2:") <= 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPECS)
+def test_fuzz_generator_spec_grammar(spec):
+    assume(_spec_small(spec))
+    _raises_only_typed(resolve_generator_spec, spec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="cyclepathcompletunionsubdivpetersen2:+- 0123456789", max_size=40))
+def test_fuzz_generator_spec_text(spec):
+    assume(_spec_small(spec))
+    _raises_only_typed(resolve_generator_spec, spec)

@@ -24,6 +24,7 @@ from domgame.graphs import (
     gen_cycle,
     gen_path,
     gen_petersen,
+    graph_from_canonical,
     is_connected,
     relabel,
     subdivide3,
@@ -208,6 +209,53 @@ def test_enumeration_range_check():
 def test_enumeration_is_deduplicated():
     keys = [canonical_key(g) for g in enumerate_graphs(5)]
     assert len(keys) == len(set(keys))
+
+
+def _unpruned_enumeration(n):
+    """Reference: every attachment set of every (n-1)-vertex representative,
+    deduplicated by canonical key, with no pruning at all."""
+    if n == 1:
+        return (Graph(1),)
+    seen = set()
+    for parent in _unpruned_enumeration(n - 1):
+        for attach in range(1 << (n - 1)):
+            edges = parent.edges() + [(u, n - 1) for u in range(n - 1) if attach >> u & 1]
+            seen.add(canonical_key(Graph(n, edges)))
+    return tuple(graph_from_canonical(k) for k in sorted(seen))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pruned_enumeration_equals_unpruned_reference(n):
+    assert enumerate_graphs(n) == _unpruned_enumeration(n)
+
+
+def test_enumeration_keys_exactly_the_pruned_candidates(monkeypatch):
+    """Cold, the enumeration keys one candidate per Aut(P)-orbit of the
+    attachment sets A of each parent P whose new vertex has minimum degree,
+    namely the orbit's least set, in parent order and ascending A."""
+    import domgame.graphs as graphs
+
+    keyed = []
+
+    def recording_key(g):
+        keyed.append(g)
+        return canonical_key(g)
+
+    monkeypatch.setattr(graphs, "_all_graphs_cache", {})
+    monkeypatch.setattr(graphs, "canonical_key", recording_key)
+    graphs.enumerate_graphs(6)
+    expected = []
+    for n in range(2, 7):
+        for parent in enumerate_graphs(n - 1):
+            group = _brute_automorphisms(parent)
+            for attach in range(1 << (n - 1)):
+                members = [u for u in range(n - 1) if attach >> u & 1]
+                if any(len(members) > parent.degree(u) + (u in members) for u in range(n - 1)):
+                    continue
+                if any(sum(1 << p[u] for u in members) < attach for p in group):
+                    continue
+                expected.append(Graph(n, parent.edges() + [(u, n - 1) for u in members]))
+    assert keyed == expected
 
 
 @settings(max_examples=60)

@@ -13,6 +13,10 @@ def test_survey_dom_start_runs_outside_the_repo(tmp_path):
     proc = subprocess.run([sys.executable, str(SCRIPTS / "survey_dom_start.py")],
                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    # n = 7: the 853 connected graphs, 46 of them with no nested pair
+    assert ["7", "dom", "False", "46"] in rows
+    assert ["7", "dom", "True", "807"] in rows
     assert "Sepy-win graphs (0): none" in proc.stdout
 
 

@@ -159,7 +159,8 @@ def test_best_move_value_maps_under_palette_swap():
     for _ in range(20):
         state, twin = new_game(cfg, g), new_game(cfg, g)
         while state.status.ongoing and rng.random() < 0.6:
-            mv = state.legal_moves()[rng.randrange(len(state.legal_moves()))]
+            moves = state.legal_moves()
+            mv = moves[rng.randrange(len(moves))]
             state = state.apply(mv)
             twin = twin.apply(Move(mv.vertex, 1 - mv.color))
         if not state.status.ongoing:
