@@ -190,8 +190,11 @@ class Rules:
         undom = 0
         for c in self.colors[actor]:
             undom |= ~(dp if c == PURPLE else db)
+        uncolored = self.full & ~(vp | vb)
+        if uncolored & undom:
+            return True  # v is in N[v]: the loop below would stop at v
         closed = self.closed
-        for v in bits(self.full & ~(vp | vb)):
+        for v in bits(uncolored):
             if closed[v] & undom:
                 return True
         return False
@@ -226,12 +229,13 @@ class Rules:
             return other, 0, None
         return actor, 0, DOM
 
-    def expand(self, vp, vb, dp, db, actor, sel, moved, verts=-1, passes=True):
+    def expand(self, vp, vb, dp, db, actor, sel, moved, verts=-1, passes=True, color=None):
         """The children in canonical order (vertex ascending, the actor's
         colors in order, the pass last) as (vertex, color, child) tuples;
         vertex and color are None for the pass, and child is (vp, vb, dp,
         db, actor, sel, moved, winner_or_None).  Only selections of vertices
-        in ``verts`` are listed, and the pass only when ``passes`` is set."""
+        in ``verts`` are listed, only in ``color`` when it is given, and the
+        pass only when ``passes`` is set."""
         full = self.full
         closed = self.closed
         closed_verts = self.closed_verts
@@ -240,6 +244,9 @@ class Rules:
         nsel = sel + 1
         may_continue = nsel < self.caps[actor]
         colors = self.colors[actor]
+        if color is not None:
+            # the kernel's own value of the color, so children carry an int
+            colors = () if color not in colors else (PURPLE,) if color == PURPLE else (BLUE,)
         out = []
         for v in bits(full & ~(vp | vb) & verts):
             cbit = 1 << v
@@ -359,13 +366,13 @@ class GameState:
 
     # -- transitions -------------------------------------------------------
 
-    def expand(self, verts: int = -1, passes: bool = True) -> list:
+    def expand(self, verts: int = -1, passes: bool = True, color: int | None = None) -> list:
         """The kernel's children of this state (see ``Rules.expand``), none
         once the game is over."""
         if self.winner is not None:
             return []
         return self.rules.expand(*self.vmask, *self.dom, self.actor, self.selections_done,
-                                 self.any_move_made, verts, passes)
+                                 self.any_move_made, verts, passes, color)
 
     def _expand_all(self) -> list:
         out = self.expand()
@@ -390,7 +397,7 @@ class GameState:
         else:
             v, c = move.vertex, move.color
             verts = 1 << v if self.rules.is_vertex(v) else 0
-            found = [kid for kid in self.expand(verts, passes=False) if kid[1] == c]
+            found = self.expand(verts, passes=False, color=c)
             if not found:
                 name = COLOR_NAMES[c] if c in (PURPLE, BLUE) else repr(c)
                 raise IllegalMoveError(f"{self.actor} cannot color vertex {v!r} {name}")

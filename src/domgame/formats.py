@@ -25,6 +25,18 @@ class ParseError(ValueError):
 
 _G6_HEADER = ">>graph6<<"
 
+# The most vertices a graph read from outside input may have.  The solver
+# stops far below it; the bound only keeps a short header or spec from
+# asking for gigabytes before any cap is checked.
+MAX_INPUT_VERTICES = 256
+
+
+def _check_size(n: int, source: str) -> None:
+    if n > MAX_INPUT_VERTICES:
+        raise GraphError(
+            f"{source} asks for {n} vertices, above the input bound of {MAX_INPUT_VERTICES}"
+        )
+
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line (printable 6-bit packing of the upper triangle)."""
@@ -46,6 +58,7 @@ def parse_graph6(text: str) -> Graph:
     else:
         n = ord(s[0]) - 63
         idx = 1
+    _check_size(n, "graph6 header")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(s) - idx != need:
@@ -111,6 +124,7 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise GraphError(f"line {ln}: header must be two integers") from None
+    _check_size(n, f"line {ln}: header")
     if len(rows) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []
@@ -149,10 +163,12 @@ def resolve_generator_spec(spec: str) -> tuple[Graph, SubdivisionMap | None]:
         g, _ = resolve_generator_spec(parts[0])
         for part in parts[1:]:
             h, _ = resolve_generator_spec(part)
+            _check_size(g.n + h.n, f"spec {spec!r}")
             g = disjoint_union(g, h)
         return g, None
     if spec.startswith("subdiv2:"):
         base, _ = resolve_generator_spec(spec[len("subdiv2:"):])
+        _check_size(base.n + 2 * base.m, f"spec {spec!r}")
         sub, smap = subdivide3(base)
         return sub, smap
     try:
@@ -160,6 +176,7 @@ def resolve_generator_spec(spec: str) -> tuple[Graph, SubdivisionMap | None]:
         size = int(arg)
     except ValueError:
         raise GraphError(f"bad generator spec {spec!r}") from None
+    _check_size(size, f"spec {spec!r}")
     if kind == "cycle":
         return gen_cycle(size), None
     if kind == "path":

@@ -26,8 +26,16 @@ serves as the independent oracle.
 
 ``verify_strategy`` walks the full game tree of ``GameState`` with one side
 pinned to a strategy and the other ranging over every legal move (passes
-included), expanding each opponent node once; it either certifies the
-strategy or returns a counterexample playout.
+included); it either certifies the strategy or returns a counterexample
+playout.  A strategy that reads the history only through ``last_select``
+(``Strategy.history_independent``) moves alike in states that agree on the
+position and ``last_select``, so the walk shares the subtree below such
+states and walks it once.  Where the opponent is to move and may not pass,
+the key drops ``last_select`` too: every child then carries the opponent's
+own selection in its place, so nothing below reads the dropped field.  The
+memo stores each subtree's longest line, so ``max_plies`` and the
+counterexample are those of a walk without the memo; only the count of
+leaves walked depends on it.
 
 Everything here is single-threaded; positions are plain values, so callers
 wanting parallelism can fan out root children across solver instances and
@@ -91,6 +99,11 @@ class SolveResult:
 
 @dataclass
 class VerificationReport:
+    """``branches`` counts the game ends the walk reached.  Subtrees shared
+    through the memo are walked once, so like ``SolveResult.nodes`` it
+    depends on the memo key and is not comparable across versions of the
+    walk; ``verified``, ``counterexample`` and ``max_plies`` do not."""
+
     strategy: str
     role: str
     config: GameConfig
@@ -125,6 +138,8 @@ class _Solver:
         self.entry_cap = entry_cap
         self.memo: dict[int, str] = {}
         self.nodes = 0
+        # sel never exceeds max(d, s), so it fits below the moved bit
+        self.moved_shift = 2 * self.n + 1 + max(rules.cfg.d, rules.cfg.s).bit_length()
         # a key scans at most 2n images, the most children a node can have
         self.half = (self.n + 1) // 2
         self.images = [_image_tables(img, self.half)
@@ -154,7 +169,7 @@ class _Solver:
                 k = lo[pl] | hi[ph] | (lo[bl] | hi[bh]) << n
                 if k < best:
                     best = k
-        return best | (actor == DOM) << (2 * n) | sel << (2 * n + 1) | moved << (2 * n + 5)
+        return best | (actor == DOM) << (2 * n) | sel << (2 * n + 1) | moved << self.moved_shift
 
     def value(self, vp, vb, dp, db, actor, sel, moved) -> str:
         if self.use_memo:
@@ -269,7 +284,8 @@ def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
 
     The walk follows the strategy's unique move on its turns and branches on
     all legal opponent moves (passes included).  Subtrees are shared through
-    a memo only when the strategy declares itself history-independent.
+    a memo only when the strategy declares itself history-independent (see
+    the module docstring for the key).
     """
     from .formats import emit_graph6
     from .strategies import NotApplicable, StrategyViolation, get_strategy
@@ -279,23 +295,37 @@ def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
         raise NotApplicable(f"strategy {strat.sid} plays {strat.role}, not {role}")
     ctx = strat.prepare(config, g, submap=submap, seed=seed)
     start = new_game(config, g)
-    memo: set = set()
+    rules = start.rules
+    use_memo = strat.history_independent
+    opponent_passes = config.sepy_may_pass if role == DOM else config.dom_may_pass
+    memo: dict = {}  # key -> the most plies from a node of that key to the end
     stats = {"leaves": 0, "max_plies": 0}
 
     class _Failed(Exception):
         def __init__(self, state):
             self.state = state
 
-    def walk(state: GameState):
+    def walk(state: GameState) -> int:
+        """The most plies from state to the end of any line below it."""
         if state.winner is not None:
             stats["leaves"] += 1
             stats["max_plies"] = max(stats["max_plies"], state.ply())
             if state.winner != role:
                 raise _Failed(state)
-            return
-        key = strat.memo_key(state, ctx)
-        if key is not None and key in memo:
-            return
+            return 0
+        if use_memo:
+            vp, vb = state.vmask
+            key = (vp, vb, state.actor, state.selections_done, state.any_move_made)
+            # every child of an opponent node without a pass carries the
+            # opponent's own selection, so last_select is read nowhere below
+            if state.actor == role or (opponent_passes
+                                       and rules.pass_child(*state.position()) is not None):
+                key += (state.last_select,)
+            height = memo.get(key)
+            if height is not None:
+                # the longest line of the skipped subtree, as if walked again
+                stats["max_plies"] = max(stats["max_plies"], state.ply() + height)
+                return height
         if state.actor == role:
             try:
                 mv = strat.move(state, ctx)
@@ -303,12 +333,17 @@ def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
             except IllegalMoveError as exc:
                 raise StrategyViolation(str(exc), state) from exc
             strat.check_invariants(nxt, ctx)
-            walk(nxt)
+            height = walk(nxt)
         else:
+            height = 0
             for _mv, child in state.children():
-                walk(child)
-        if key is not None:
-            memo.add(key)
+                h = walk(child)
+                if h > height:
+                    height = h
+        height += 1
+        if use_memo:
+            memo[key] = height
+        return height
 
     verified = True
     counterexample = None

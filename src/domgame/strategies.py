@@ -110,6 +110,10 @@ def _anchor(state: GameState, *, require_sepy: bool) -> tuple[int, int]:
 class Strategy:
     sid = "?"
     role: str | None = DOM  # None means either seat
+    # True when move and check_invariants read the history only through
+    # last_select, so a verification walk may share subtrees between states
+    # that agree on position and last_select
+    history_independent = True
 
     def prepare(self, config: GameConfig, graph: Graph, *, submap=None, seed=None):
         """Validate applicability and build the per-game context."""
@@ -117,18 +121,6 @@ class Strategy:
 
     def move(self, state: GameState, ctx) -> Move:
         raise NotImplementedError
-
-    def memo_key(self, state: GameState, ctx):
-        """Fields a verification walk may memoize on; None disables memoing
-        (history-dependent strategies)."""
-        return (
-            state.vmask[PURPLE],
-            state.vmask[BLUE],
-            state.actor,
-            state.selections_done,
-            state.any_move_made,
-            state.last_select,
-        )
 
     def check_invariants(self, state: GameState, ctx) -> None:
         """Called on the state right after this strategy's move during
@@ -143,7 +135,13 @@ def _require(cond: bool, message: str):
 def _every_colored_has_opposite_neighbor(state: GameState) -> bool:
     nbr = state.graph.nbr_mask
     vp, vb = state.vmask
-    return all(nbr[v] & vb for v in bits(vp)) and all(nbr[v] & vp for v in bits(vb))
+    for mask, opp in ((vp, vb), (vb, vp)):
+        while mask:
+            low = mask & -mask
+            if not nbr[low.bit_length() - 1] & opp:
+                return False
+            mask ^= low
+    return True
 
 
 class Ons(Strategy):
@@ -560,6 +558,7 @@ class SepyCycle(Strategy):
 
     sid = "sepy-cycle"
     role = SEPY
+    history_independent = False  # decisions hinge on the move order in the history
 
     def prepare(self, config, graph, *, submap=None, seed=None):
         _require(config.variant == DDG, "cycle play is for the disjoint game")
@@ -584,9 +583,6 @@ class SepyCycle(Strategy):
             return Move(_cycle_real_vertex(mem, order, pos), color)
         raise StrategyViolation("cycle play should have won by its second move", state)
 
-    def memo_key(self, state, ctx):
-        return None  # decisions hinge on the move order in the history
-
 
 class SepySubdiv(Strategy):
     """Sepy's win on triple subdivisions of graphs with minimum degree two
@@ -595,6 +591,7 @@ class SepySubdiv(Strategy):
 
     sid = "sepy-subdiv"
     role = SEPY
+    history_independent = False  # reads Dom's opening from the history
 
     def prepare(self, config, graph, *, submap=None, seed=None):
         _require(config.variant == DDG, "subdivision play is for the disjoint game")
@@ -626,9 +623,6 @@ class SepySubdiv(Strategy):
             if state.select_legal(near, c0):
                 return Move(near, c0)
         raise StrategyViolation("no open threat on the opened base vertex", state)
-
-    def memo_key(self, state, ctx):
-        return None
 
 
 def _resubdivide(submap: SubdivisionMap):

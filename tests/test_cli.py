@@ -1,12 +1,18 @@
 """Command-line surface: subcommands, JSON output, exit codes, determinism,
 and the interactive seat."""
 
+import io
 import json
+import sys
+from contextlib import redirect_stderr
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from domgame.cli import main
-from domgame.engine import GameConfig, replay
+from domgame.cli import _human_move, main
+from domgame.engine import COLOR_NAMES, DOM, PURPLE, GameConfig, Move, new_game, replay
 from domgame.formats import resolve_generator_spec
 from domgame.graphs import gen_cycle
 
@@ -179,6 +185,42 @@ def test_play_human_eof_aborts(capsys, monkeypatch):
     code, _, err = run(capsys, "play", "--graph", "path:2", "--start", "dom",
                        "--dom", "human", "--sepy", "human")
     assert code == 4 and "aborted" in err
+
+
+# Sepy to move on C5 after Dom's 0 purple, with no pass rights
+_HUMAN_STATE = new_game(GameConfig(starter=DOM), gen_cycle(5)).apply(Move(0, PURPLE))
+_COLOR_WORDS = ("purple", "p", "blue", "b")
+
+
+def _not_move_shaped(line):
+    parts = line.split()
+    return parts != ["pass"] and not (len(parts) == 2 and parts[1] in _COLOR_WORDS)
+
+
+_BAD_LINES = st.one_of(
+    st.text(st.characters(exclude_characters="\n"), max_size=20).filter(_not_move_shaped),
+    # vertex 0 is colored and the others are not vertices of C5
+    st.builds("{} {}".format, st.sampled_from(["0", "-1", "5", "+9", "1" * 5000]),
+              st.sampled_from(_COLOR_WORDS)),
+    st.just("pass"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_BAD_LINES, max_size=6), st.sampled_from(_HUMAN_STATE.legal_moves()),
+       st.booleans(), st.booleans())
+def test_fuzz_human_move_reprompts_until_a_legal_move(bad, move, short, ends):
+    word = COLOR_NAMES[move.color]
+    lines = bad if ends else [*bad, f"{move.vertex} {word[0] if short else word}"]
+    stdin = io.StringIO("".join(line + "\n" for line in lines))
+    with patch.object(sys, "stdin", stdin), redirect_stderr(io.StringIO()) as err:
+        if ends:
+            with pytest.raises(EOFError):
+                _human_move(_HUMAN_STATE)
+        else:
+            assert _human_move(_HUMAN_STATE) == move
+    assert stdin.read() == ""
+    assert err.getvalue().count("enter 'v color' or 'pass'") == len(bad) + 1
 
 
 def test_play_subdivision_strategy_gets_its_map(capsys):

@@ -1,6 +1,7 @@
 """graph6 encoding, edge-list text, and generator spec strings."""
 
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs_st
 from domgame.formats import (
+    MAX_INPUT_VERTICES,
     ParseError,
     emit_edge_list,
     emit_graph6,
@@ -134,6 +136,38 @@ def test_generator_spec_errors():
         resolve_generator_spec("cycle:x")
     with pytest.raises(GraphError):
         resolve_generator_spec("union:cycle:4")
+
+
+def _g6_header(n):
+    return "~" + "".join(chr((n >> sh & 63) + 63) for sh in (12, 6, 0))
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_edge_list, "100000 0"),
+    (parse_edge_list, f"{MAX_INPUT_VERTICES + 1} 0"),
+    (resolve_generator_spec, "cycle:100000"),
+    (resolve_generator_spec, "complete:100000"),
+    (resolve_generator_spec, f"path:{MAX_INPUT_VERTICES + 1}"),
+    (resolve_generator_spec, "subdiv2:complete:30"),
+    (resolve_generator_spec, "union:cycle:200+cycle:200"),
+    (parse_graph6, _g6_header(100000)),
+])
+def test_outside_input_beyond_the_vertex_bound_fails_fast(parse, text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="input bound"):
+            parse(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_outside_input_at_the_vertex_bound_is_read():
+    n = MAX_INPUT_VERTICES
+    assert parse_edge_list(f"{n} 0").n == n
+    assert resolve_generator_spec(f"cycle:{n}")[0] == gen_cycle(n)
+    assert parse_graph6(emit_graph6(gen_cycle(n))) == gen_cycle(n)
 
 
 def test_is_generator_spec():

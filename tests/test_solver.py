@@ -15,6 +15,7 @@ from domgame.engine import (
     GameConfig,
     Move,
     new_game,
+    trace_lines,
 )
 from domgame.graphs import (
     disjoint_union,
@@ -31,7 +32,7 @@ from domgame.solver import (
     solve,
     verify_strategy,
 )
-from domgame.strategies import NotApplicable
+from domgame.strategies import NotApplicable, StrategyViolation, get_strategy
 
 
 def ddg(starter, **kw):
@@ -182,6 +183,15 @@ def test_key_ignores_history_order():
     b = new_game(ddg(DOM), g).apply(Move(4, PURPLE)).apply(Move(2, BLUE)) \
         .apply(Move(0, PURPLE)).apply(Move(1, BLUE))
     assert _key(a) == _key(b)
+
+
+def test_turn_bits_of_long_turns_stay_apart():
+    # a (17:1) turn reaches sel = 16, one bit wider than a 4-bit field
+    rules = new_game(ddg(DOM, d=17), gen_path(2)).rules
+    solver = _Solver(rules)
+    keys = {solver._key(0, 0, actor, sel, moved)
+            for actor in (DOM, SEPY) for sel in range(18) for moved in (False, True)}
+    assert len(keys) == 2 * 18 * 2
 
 
 # --- memoization and limits --------------------------------------------------------------
@@ -388,3 +398,48 @@ def test_verify_report_json():
     assert blob["verified"] is True
     # P3 in graph6: 'B' is n=3, bits x01 x02 x12 = 101 padded -> 'g'
     assert blob["strategy"] == "ons" and blob["graph"] == "Bg"
+
+
+# every rule set a strategy below may accept; prepare picks the ones it does
+_RULE_SETS = (ddg(DOM), ddg(SEPY), bdg(DOM), bdg(SEPY),
+              ddg(SEPY, pass_rights="sepy"), ddg(DOM, pass_rights="sepy"),
+              ddg(SEPY, pass_rights="dom"), ddg(DOM, pass_rights="dom"),
+              ddg(SEPY, d=2), ddg(DOM, d=2), ddg(SEPY, d=3), ddg(DOM, d=3))
+
+
+def _verdict(strategy, cfg, g, memo):
+    strat = get_strategy(strategy)
+    if not memo:
+        strat.history_independent = False
+    try:
+        rep = verify_strategy(strat, DOM, cfg, g, seed=3)
+    except StrategyViolation as exc:
+        return "violation", str(exc), trace_lines(exc.state)
+    return rep.verified, rep.max_plies, rep.counterexample
+
+
+@pytest.mark.parametrize("strategy, rule_sets, top", [
+    ("ons", _RULE_SETS, 5), ("dom-pass", _RULE_SETS, 5), ("bdg-general", _RULE_SETS, 5),
+    # passes and long turns let one position follow several last selections;
+    # the 6-vertex graphs are the first where that changes a report
+    ("onsp", _RULE_SETS, 6), ("biased-dom", _RULE_SETS, 6),
+    # these lose as Dom when Dom starts, so their counterexamples are compared
+    ("greedy", [c for c in _RULE_SETS if c.starter == DOM and c.variant == "ddg"], 5),
+    ("random", [c for c in _RULE_SETS if c.starter == DOM and c.variant == "ddg"], 5),
+], ids=lambda arg: arg if isinstance(arg, str) else None)
+def test_verify_memo_matches_the_memo_free_walk(strategy, rule_sets, top):
+    compared = failures = 0
+    for n in range(2, top + 1):
+        for g in enumerate_isolate_free_graphs(n):
+            for cfg in rule_sets:
+                try:
+                    get_strategy(strategy).prepare(cfg, g, seed=3)
+                except NotApplicable:
+                    continue
+                memo = _verdict(strategy, cfg, g, True)
+                assert memo == _verdict(strategy, cfg, g, False), (cfg, g.edges())
+                compared += 1
+                failures += memo[0] is not True
+    assert compared > 0
+    if strategy in ("greedy", "random"):
+        assert failures > 0
