@@ -31,14 +31,11 @@ from .graphs import (
     Graph,
     GraphError,
     SubdivisionMap,
-    closed_neighborhood,
-    components,
     corpus,
     disjoint_union,
     enumerate_connected_graphs,
     enumerate_graphs,
     enumerate_isolate_free_graphs,
-    from_edge_list,
     gen_complete,
     gen_cycle,
     gen_path,
@@ -64,7 +61,6 @@ from .solver import (
 from .strategies import (
     NotApplicable,
     StrategyViolation,
-    component_safe,
     get_strategy,
     strategy_ids,
 )

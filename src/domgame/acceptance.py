@@ -288,8 +288,8 @@ def _assert_state_sound(state) -> None:
 
 
 def _state_key(solver, state) -> int:
-    vp, vb, _dp, _db, actor, sel, moved = state.position()
-    return solver._key(vp, vb, actor, sel, moved)
+    vp, vb, _dp, _db, actor, sel = state.position()
+    return solver._key(vp, vb, actor, sel)
 
 
 def _walk_full_tree(config, g) -> int:

@@ -52,10 +52,15 @@ def _load_graph(spec: str) -> tuple[Graph, SubdivisionMap | None]:
     if is_generator_spec(spec):
         return resolve_generator_spec(spec)
     if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(spec, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GraphError(f"cannot read graph file {spec!r}: {exc}") from None
+        if not text.strip():
+            raise ParseError(f"graph file {spec!r} is empty", 0)
         head = text.lstrip().split("\n", 1)[0].split()
-        if head and all(part.isdigit() for part in head):
+        if all(part.isdigit() for part in head):
             return parse_edge_list(text), None
         return parse_graph6(text.strip().splitlines()[0]), None
     return parse_graph6(spec), None

@@ -150,7 +150,6 @@ class Status:
     """Outcome view of a state: winner None while the game is ongoing."""
 
     winner: str | None
-    next_actor: str | None = None
     witness: int | None = None
     witness_color: int | None = None
 
@@ -166,11 +165,16 @@ class Rules:
     """The rules of one game on raw bitmasks: the kernel that ``GameState``
     plays and the solver searches.
 
-    A position is (vp, vb, dp, db, actor, sel, moved): the purple and blue
-    vertex masks, the masks of the vertices dominated in purple and in blue,
-    the player to move, the selections made this turn, and whether any move
-    has been made yet.  ``expand`` lists a position's children; the other
-    methods serve it.
+    A position is (vp, vb, dp, db, actor, sel): the purple and blue vertex
+    masks, the masks of the vertices dominated in purple and in blue, the
+    player to move and the selections made this turn.  The one rule that
+    asks about history, no pass before the first move, only needs to know
+    whether any vertex is colored: a selection always colors a vertex, a
+    pass colors none and nothing is ever uncolored, so no move has been
+    made exactly when vp | vb == 0.  dp and db follow from vp and vb too,
+    but every child reads them and recomputing them costs a loop over the
+    colored vertices, so they are carried.  ``expand`` lists a position's
+    children; the other methods serve it.
     """
 
     def __init__(self, config: GameConfig, graph: Graph):
@@ -199,9 +203,10 @@ class Rules:
                 return True
         return False
 
-    def pass_child(self, vp, vb, dp, db, actor, sel, moved):
-        """(actor', sel', terminal_winner_or_None) after a pass, or None when
-        passing is illegal here."""
+    def pass_child(self, vp, vb, dp, db, actor, sel):
+        """The child (vp, vb, dp, db, actor', 0, None) of a pass, or None
+        when passing is illegal here.  A pass never ends the game: it is
+        legal only when the opponent, who moves next, can select."""
         cfg = self.cfg
         if actor == SEPY and sel >= 1:
             pass  # biased mid-turn stop is always available
@@ -209,33 +214,32 @@ class Rules:
             allowed = cfg.dom_may_pass if actor == DOM else cfg.sepy_may_pass
             if not allowed:
                 return None
-            if not (moved or cfg.allow_first_turn_pass):
+            if not (vp | vb or cfg.allow_first_turn_pass):
                 return None
         # a pass that leaves the opponent with no selection would stall the
         # game (reachable only in bicolored corner cases)
-        if not self.has_select(vp, vb, dp, db, other_player(actor)):
+        other = other_player(actor)
+        if not self.has_select(vp, vb, dp, db, other):
             return None
-        return self.resolve_incoming(vp, vb, dp, db, other_player(actor), moved)
+        return vp, vb, dp, db, other, 0, None
 
-    def resolve_incoming(self, vp, vb, dp, db, actor, moved):
-        """(actor', sel', terminal_winner_or_None); skips stuck bicolored
-        players and detects the bicolored end."""
-        if self.ddg:
-            return actor, 0, None
-        if self.has_select(vp, vb, dp, db, actor):
-            return actor, 0, None
+    def resolve_incoming(self, vp, vb, dp, db, actor):
+        """(actor', terminal_winner_or_None) for a new turn of actor; skips
+        stuck bicolored players and detects the bicolored end."""
+        if self.ddg or self.has_select(vp, vb, dp, db, actor):
+            return actor, None
         other = other_player(actor)
         if self.has_select(vp, vb, dp, db, other):
-            return other, 0, None
-        return actor, 0, DOM
+            return other, None
+        return actor, DOM
 
-    def expand(self, vp, vb, dp, db, actor, sel, moved, verts=-1, passes=True, color=None):
+    def expand(self, vp, vb, dp, db, actor, sel, only=None):
         """The children in canonical order (vertex ascending, the actor's
         colors in order, the pass last) as (vertex, color, child) tuples;
         vertex and color are None for the pass, and child is (vp, vb, dp,
-        db, actor, sel, moved, winner_or_None).  Only selections of vertices
-        in ``verts`` are listed, only in ``color`` when it is given, and the
-        pass only when ``passes`` is set."""
+        db, actor, sel, winner_or_None).  When ``only`` is a selection
+        (vertex, color), just its child is listed, or nothing when it is
+        illegal."""
         full = self.full
         closed = self.closed
         closed_verts = self.closed_verts
@@ -244,11 +248,14 @@ class Rules:
         nsel = sel + 1
         may_continue = nsel < self.caps[actor]
         colors = self.colors[actor]
-        if color is not None:
+        verts = full & ~(vp | vb)
+        if only is not None:
+            ov, oc = only
+            verts &= 1 << ov if self.is_vertex(ov) else 0
             # the kernel's own value of the color, so children carry an int
-            colors = () if color not in colors else (PURPLE,) if color == PURPLE else (BLUE,)
+            colors = () if oc not in colors else (PURPLE,) if oc == PURPLE else (BLUE,)
         out = []
-        for v in bits(full & ~(vp | vb) & verts):
+        for v in bits(verts):
             cbit = 1 << v
             nbhd = closed[v]
             for c in colors:
@@ -276,15 +283,13 @@ class Rules:
                     elif ddg:
                         nactor, csel = other, 0
                     else:
-                        nactor, csel, winner = self.resolve_incoming(
-                            nvp, nvb, ndp, ndb, other, True
-                        )
-                out.append((v, c, (nvp, nvb, ndp, ndb, nactor, csel, True, winner)))
-        if passes:
-            child = self.pass_child(vp, vb, dp, db, actor, sel, moved)
+                        nactor, winner = self.resolve_incoming(nvp, nvb, ndp, ndb, other)
+                        csel = 0
+                out.append((v, c, (nvp, nvb, ndp, ndb, nactor, csel, winner)))
+        if only is None:
+            child = self.pass_child(vp, vb, dp, db, actor, sel)
             if child is not None:
-                a2, s2, winner = child
-                out.append((None, None, (vp, vb, dp, db, a2, s2, moved, winner)))
+                out.append((None, None, child))
         return out
 
 
@@ -292,15 +297,14 @@ class GameState:
     """A kernel position plus the record of how play reached it.
 
     vmask and dom are the (purple, blue) masks of colored and of dominated
-    vertices; actor, selections_done and any_move_made are the turn
-    bookkeeping; winner is None while the game is on.  history holds
-    (actor, move) pairs and last_select is (vertex, color, actor) of the
-    latest selection.
+    vertices; actor and selections_done are the turn bookkeeping; winner is
+    None while the game is on.  history holds (actor, move) pairs and
+    last_select is (vertex, color, actor) of the latest selection.
     """
 
     __slots__ = (
-        "rules", "vmask", "dom", "actor", "selections_done", "any_move_made",
-        "winner", "history", "last_select",
+        "rules", "vmask", "dom", "actor", "selections_done", "winner", "history",
+        "last_select",
     )
 
     def __init__(self):
@@ -319,7 +323,7 @@ class GameState:
     @property
     def status(self) -> Status:
         if self.winner is None:
-            return Status(None, next_actor=self.actor)
+            return Status(None)
         if self.winner == DOM:
             return Status(DOM)
         # Sepy won with the latest selection, so every monochromatic closed
@@ -336,9 +340,14 @@ class GameState:
         return [PURPLE if vp >> v & 1 else BLUE if vb >> v & 1 else UNCOLORED
                 for v in range(self.graph.n)]
 
+    @property
+    def any_move_made(self) -> bool:
+        """Whether a selection has been made: only selections color vertices."""
+        return bool(self.vmask[PURPLE] | self.vmask[BLUE])
+
     def position(self) -> tuple:
-        """The kernel position (vp, vb, dp, db, actor, sel, moved)."""
-        return (*self.vmask, *self.dom, self.actor, self.selections_done, self.any_move_made)
+        """The kernel position (vp, vb, dp, db, actor, sel)."""
+        return (*self.vmask, *self.dom, self.actor, self.selections_done)
 
     def uncolored_mask(self) -> int:
         return self.rules.full & ~(self.vmask[PURPLE] | self.vmask[BLUE])
@@ -366,17 +375,13 @@ class GameState:
 
     # -- transitions -------------------------------------------------------
 
-    def expand(self, verts: int = -1, passes: bool = True, color: int | None = None) -> list:
+    def _expand_all(self) -> list:
         """The kernel's children of this state (see ``Rules.expand``), none
         once the game is over."""
         if self.winner is not None:
             return []
-        return self.rules.expand(*self.vmask, *self.dom, self.actor, self.selections_done,
-                                 self.any_move_made, verts, passes, color)
-
-    def _expand_all(self) -> list:
-        out = self.expand()
-        if not out and self.winner is None:
+        out = self.rules.expand(*self.position())
+        if not out:
             raise EngineInvariantError("ongoing state with no legal move for the actor")
         return out
 
@@ -387,27 +392,34 @@ class GameState:
         """(move, successor) for every legal move, in ``legal_moves`` order."""
         return [self._successor(v, c, child) for v, c, child in self._expand_all()]
 
+    def immediate_win(self) -> Move | None:
+        """The least selection that wins the game on the spot for the actor,
+        or None.  A pass never ends the game."""
+        for v, c, child in self._expand_all():
+            if child[6] == self.actor:
+                return Move(v, c)
+        return None
+
     def apply(self, move: Move) -> "GameState":
         if self.winner is not None:
             raise IllegalMoveError("game is over")
         if move.is_pass:
-            found = self.expand(0)
-            if not found:
+            child = self.rules.pass_child(*self.position())
+            if child is None:
                 raise IllegalMoveError(f"{self.actor} may not pass here")
-        else:
-            v, c = move.vertex, move.color
-            verts = 1 << v if self.rules.is_vertex(v) else 0
-            found = self.expand(verts, passes=False, color=c)
-            if not found:
-                name = COLOR_NAMES[c] if c in (PURPLE, BLUE) else repr(c)
-                raise IllegalMoveError(f"{self.actor} cannot color vertex {v!r} {name}")
+            return self._successor(None, None, child)[1]
+        v, c = move.vertex, move.color
+        found = self.rules.expand(*self.position(), (v, c))
+        if not found:
+            name = COLOR_NAMES[c] if c in (PURPLE, BLUE) else repr(c)
+            raise IllegalMoveError(f"{self.actor} cannot color vertex {v!r} {name}")
         return self._successor(*found[0])[1]
 
     def _successor(self, v, c, child) -> tuple[Move, "GameState"]:
         """The move and state of a kernel child, after the engine's own
         invariant checks (the solver's search runs none)."""
         rules = self.rules
-        vp, vb, dp, db, actor, sel, moved, winner = child
+        vp, vb, dp, db, actor, sel, winner = child
         if v is None:
             move, last = PASS, self.last_select
         else:
@@ -419,7 +431,7 @@ class GameState:
         if winner is None:
             # a disjoint-game turn just changed hands
             if (rules.ddg and sel == 0 and not rules.has_select(vp, vb, dp, db, actor)
-                    and rules.pass_child(vp, vb, dp, db, actor, sel, moved) is None):
+                    and rules.pass_child(vp, vb, dp, db, actor, sel) is None):
                 raise EngineInvariantError(
                     "ongoing disjoint-game state without a feasible move"
                 )
@@ -435,7 +447,6 @@ class GameState:
         st.dom = (dp, db)
         st.actor = actor
         st.selections_done = sel
-        st.any_move_made = moved
         st.winner = winner
         st.history = self.history + ((self.actor, move),)
         st.last_select = last
@@ -454,7 +465,6 @@ def new_game(config: GameConfig, g: Graph) -> GameState:
     st.vmask = st.dom = (0, 0)
     st.actor = config.starter
     st.selections_done = 0
-    st.any_move_made = False
     st.winner = None
     st.history = ()
     st.last_select = None

@@ -121,23 +121,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from explicit edges; rejects loops and bad indices."""
-    return Graph(n, edges)
-
-
-def closed_neighborhood(g: Graph, v: int) -> set[int]:
-    """N[v] = N(v) together with v itself."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range for n={g.n}")
-    return set(bits(g.closed_mask[v]))
-
-
-def components(g: Graph) -> list[tuple[int, ...]]:
-    """Vertex sets of connected components, ordered by smallest member."""
-    return [tuple(bits(m)) for m in g.component_masks()]
-
-
 def is_connected(g: Graph) -> bool:
     return len(g.component_masks()) <= 1
 
@@ -193,13 +176,6 @@ class SubdivisionMap:
                 return y
             if sub_vertex == y:
                 return x
-        raise GraphError(f"{sub_vertex} is not a subdivision vertex")
-
-    def path_of(self, sub_vertex: int) -> tuple[int, int, int, int]:
-        """(w, x, y, z) for the subdivided edge carrying sub_vertex."""
-        for (w, z), (x, y) in self.edge_points.items():
-            if sub_vertex in (x, y):
-                return (w, x, y, z)
         raise GraphError(f"{sub_vertex} is not a subdivision vertex")
 
     def is_sub_vertex(self, v: int) -> bool:
@@ -487,6 +463,8 @@ def corpus(spec: str) -> list[Graph]:
         bound = int(bound_s)
     except ValueError:
         raise GraphError(f"bad corpus specifier {spec!r}") from None
+    if bound < 2:
+        raise GraphError(f"corpus bound {bound} is below 2: the corpus would be empty")
     out: list[Graph] = []
     if kind == "connected":
         for n in range(2, bound + 1):

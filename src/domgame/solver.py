@@ -15,14 +15,16 @@ The transposition table is keyed up to symmetry.  Once per solve the solver
 takes at most 2n automorphisms of the graph (``graphs.automorphisms``; 2n is
 the most children a node can have, so a key costs about one expansion), and
 a position's key is the least encoding of its coloring over the identity and
-these images, each also palette-swapped in the disjoint game; the turn bits
-are kept as they are.  The rules depend only on adjacency, and in the
-disjoint game both players may use both colors, so an automorphic image or
-a palette swap of a position has the same value.  Equal keys mean the two
-positions are images of each other, so any set of automorphisms gives sound
-keys; when the whole group fits in the 2n (C_n has exactly 2n), the key is
-canonical.  The unmemoized search computes no keys and no automorphisms and
-serves as the independent oracle.
+these images, each also palette-swapped in the disjoint game, and the turn
+bits (actor and ``sel``) sit above it as they are.  Nothing else is keyed:
+the first-turn pass ban asks only whether the coloring is empty, and every
+image of an empty coloring is empty.  The rules depend only on adjacency,
+and in the disjoint game both players may use both colors, so an automorphic
+image or a palette swap of a position has the same value.  Equal keys mean
+the two positions are images of each other, so any set of automorphisms
+gives sound keys; when the whole group fits in the 2n (C_n has exactly 2n),
+the key is canonical.  The unmemoized search computes no keys and no
+automorphisms and serves as the independent oracle.
 
 ``verify_strategy`` walks the full game tree of ``GameState`` with one side
 pinned to a strategy and the other ranging over every legal move (passes
@@ -138,8 +140,6 @@ class _Solver:
         self.entry_cap = entry_cap
         self.memo: dict[int, str] = {}
         self.nodes = 0
-        # sel never exceeds max(d, s), so it fits below the moved bit
-        self.moved_shift = 2 * self.n + 1 + max(rules.cfg.d, rules.cfg.s).bit_length()
         # a key scans at most 2n images, the most children a node can have
         self.half = (self.n + 1) // 2
         self.images = [_image_tables(img, self.half)
@@ -147,10 +147,11 @@ class _Solver:
 
     # -- search -------------------------------------------------------------
 
-    def _key(self, vp, vb, actor, sel, moved):
+    def _key(self, vp, vb, actor, sel):
         """The least encoding of (vp, vb) over the identity and the stored
-        automorphism images, each also palette-swapped in DDG, plus the turn
-        bits."""
+        automorphism images, each also palette-swapped in DDG, with the turn
+        bits above it: the actor's bit, then sel as the top field, so no
+        bound on sel is needed."""
         n = self.n
         half = self.half
         low = (1 << half) - 1
@@ -169,27 +170,27 @@ class _Solver:
                 k = lo[pl] | hi[ph] | (lo[bl] | hi[bh]) << n
                 if k < best:
                     best = k
-        return best | (actor == DOM) << (2 * n) | sel << (2 * n + 1) | moved << self.moved_shift
+        return best | (actor == DOM) << (2 * n) | sel << (2 * n + 1)
 
-    def value(self, vp, vb, dp, db, actor, sel, moved) -> str:
+    def value(self, vp, vb, dp, db, actor, sel) -> str:
         if self.use_memo:
-            key = self._key(vp, vb, actor, sel, moved)
+            key = self._key(vp, vb, actor, sel)
             hit = self.memo.get(key)
             if hit is not None:
                 return hit
         self.nodes += 1
-        children = self.expand(vp, vb, dp, db, actor, sel, moved)
+        children = self.expand(vp, vb, dp, db, actor, sel)
         if not children:
             raise EngineInvariantError("ongoing position with no moves")
         # an immediate win ends the search; only then recurse, in order
         result = other_player(actor)
         for _v, _c, child in children:
-            if child[7] == actor:
+            if child[6] == actor:
                 result = actor
                 break
         else:
-            for _v, _c, (cvp, cvb, cdp, cdb, ca, cs, cm, winner) in children:
-                if winner is None and self.value(cvp, cvb, cdp, cdb, ca, cs, cm) == actor:
+            for _v, _c, (cvp, cvb, cdp, cdb, ca, cs, winner) in children:
+                if winner is None and self.value(cvp, cvb, cdp, cdb, ca, cs) == actor:
                     result = actor
                     break
         if self.use_memo:
@@ -255,15 +256,15 @@ def _principal_variation(solver: _Solver, pos, winner: str, limit: int = 200) ->
     cur = pos
     for _ in range(limit):
         for v, c, child in solver.expand(*cur):
-            w = child[7] if child[7] is not None else solver.value(*child[:7])
+            w = child[6] if child[6] is not None else solver.value(*child[:6])
             if w == winner:
                 break
         else:
             raise EngineInvariantError("position without a child of its value")
         pv.append(PASS if v is None else Move(v, c))
-        if child[7] is not None:
+        if child[6] is not None:
             break
-        cur = child[:7]
+        cur = child[:6]
     return pv
 
 
@@ -315,7 +316,7 @@ def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
             return 0
         if use_memo:
             vp, vb = state.vmask
-            key = (vp, vb, state.actor, state.selections_done, state.any_move_made)
+            key = (vp, vb, state.actor, state.selections_done)
             # every child of an opponent node without a pass carries the
             # opponent's own selection, so last_select is read nowhere below
             if state.actor == role or (opponent_passes

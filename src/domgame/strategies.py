@@ -26,7 +26,7 @@ from .engine import (
     Move,
     opposite,
 )
-from .graphs import Graph, SubdivisionMap, bits, induced_subgraph, is_connected
+from .graphs import Graph, SubdivisionMap, bits, induced_subgraph, is_connected, subdivide3
 from .matching import MatchingStructure, matching_plan
 
 
@@ -105,6 +105,15 @@ def _anchor(state: GameState, *, require_sepy: bool) -> tuple[int, int]:
     return v, c
 
 
+def _answer(state: GameState, *, require_sepy: bool) -> Move:
+    """The opposite-neighbor answer to the latest selection."""
+    v, c = _anchor(state, require_sepy=require_sepy)
+    mv = _ons_search(state, v, c)
+    if mv is None:
+        raise StrategyViolation("no opposite-neighbor move available", state)
+    return mv
+
+
 # --- strategy objects -------------------------------------------------------
 
 class Strategy:
@@ -160,11 +169,7 @@ class Ons(Strategy):
         return None
 
     def move(self, state, ctx):
-        v, c = _anchor(state, require_sepy=True)
-        mv = _ons_search(state, v, c)
-        if mv is None:
-            raise StrategyViolation("no opposite-neighbor move available", state)
-        return mv
+        return _answer(state, require_sepy=True)
 
     def check_invariants(self, state, ctx):
         if not _every_colored_has_opposite_neighbor(state):
@@ -188,11 +193,7 @@ class Onsp(Strategy):
         return None
 
     def move(self, state, ctx):
-        v, c = _anchor(state, require_sepy=False)
-        mv = _ons_search(state, v, c)
-        if mv is None:
-            raise StrategyViolation("no opposite-neighbor move available", state)
-        return mv
+        return _answer(state, require_sepy=False)
 
     check_invariants = Ons.check_invariants
 
@@ -227,11 +228,7 @@ class DomStartSafe(Strategy):
     def move(self, state, ctx):
         if not state.history:
             return Move(ctx, PURPLE)
-        v, c = _anchor(state, require_sepy=False)
-        mv = _ons_search(state, v, c)
-        if mv is None:
-            raise StrategyViolation("no opposite-neighbor move available", state)
-        return mv
+        return _answer(state, require_sepy=False)
 
 
 @lru_cache(maxsize=None)
@@ -273,12 +270,10 @@ class DomPass(Strategy):
             if ctx is None:
                 raise StrategyViolation("missing opening move", state)
             return ctx
-        last = state.last_select
-        if last is None:
-            raise StrategyViolation("no selection to answer", state)
-        v, c, _actor = last
+        v, c = _anchor(state, require_sepy=False)
         region = state.graph.component_of(v)
-        if not state.expand(region, passes=False):
+        if not any(state.select_legal(u, col)
+                   for u in bits(state.uncolored_mask() & region) for col in (PURPLE, BLUE)):
             return PASS  # no legal selection left in that component
         mv = _ons_search(state, v, c, region)
         if mv is None:
@@ -286,30 +281,6 @@ class DomPass(Strategy):
                 "component holds legal moves but no opposite-neighbor move", state
             )
         return mv
-
-
-def component_safe(state: GameState, comp) -> bool:
-    """True when the component can no longer produce a monochromatic closed
-    neighborhood: it is already dominated in both colors, or one legal
-    selection inside it would finish that."""
-    mask = 0
-    if isinstance(comp, int):
-        mask = comp
-    else:
-        for v in comp:
-            mask |= 1 << v
-    both = state.dom[PURPLE] & state.dom[BLUE]
-    if mask & ~both == 0:
-        return True
-    g = state.graph
-    for u in bits(state.uncolored_mask() & mask):
-        for c in (PURPLE, BLUE):
-            if not state.select_legal(u, c):
-                continue
-            new_dom = state.dom[c] | g.closed_mask[u]
-            if mask & ~(new_dom & state.dom[opposite(c)]) == 0:
-                return True
-    return False
 
 
 class BiasedDom(Strategy):
@@ -599,16 +570,15 @@ class SepySubdiv(Strategy):
         _require(config.starter == DOM, "subdivision play assumes Dom starts")
         _require(config.pass_rights == "none", "subdivision play assumes no passing")
         _require(isinstance(submap, SubdivisionMap), "needs the subdivision bookkeeping of the graph")
-        sub, _ = _resubdivide(submap)
+        sub, _ = subdivide3(submap.base)
         _require(sub == graph, "graph does not match the subdivision bookkeeping")
         _require(submap.base.min_degree() >= 2, "base graph needs minimum degree 2")
         return submap
 
     def move(self, state, ctx):
-        # an immediate win first; a kernel child ends with its winner
-        for v, c, child in state.expand(passes=False):
-            if child[-1] == SEPY:
-                return Move(v, c)
+        win = state.immediate_win()
+        if win is not None:
+            return win
         first_actor, first_move = state.history[0]
         if first_actor != DOM or first_move.is_pass:
             raise StrategyViolation("subdivision play expects Dom's opening selection", state)
@@ -623,12 +593,6 @@ class SepySubdiv(Strategy):
             if state.select_legal(near, c0):
                 return Move(near, c0)
         raise StrategyViolation("no open threat on the opened base vertex", state)
-
-
-def _resubdivide(submap: SubdivisionMap):
-    from .graphs import subdivide3
-
-    return subdivide3(submap.base)
 
 
 # --- baseline adversaries ----------------------------------------------------
@@ -666,9 +630,9 @@ class GreedyWin(Strategy):
         return 0 if seed is None else seed
 
     def move(self, state, ctx):
-        for v, c, child in state.expand(passes=False):
-            if child[-1] == state.actor:
-                return Move(v, c)
+        win = state.immediate_win()
+        if win is not None:
+            return win
         return RandomStrategy.move(self, state, ctx)
 
 
@@ -686,20 +650,12 @@ _REGISTRY = {
     "greedy": GreedyWin,
 }
 
-_ALIASES = {
-    "cycle": "sepy-cycle",
-    "subdiv": "sepy-subdiv",
-    "greedy-win": "greedy",
-}
-
 
 def strategy_ids() -> list[str]:
     return sorted(_REGISTRY)
 
 
 def get_strategy(sid: str) -> Strategy:
-    key = sid.replace("_", "-")
-    key = _ALIASES.get(key, key)
-    if key not in _REGISTRY:
+    if sid not in _REGISTRY:
         raise KeyError(f"unknown strategy {sid!r}; known: {', '.join(strategy_ids())}")
-    return _REGISTRY[key]()
+    return _REGISTRY[sid]()

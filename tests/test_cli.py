@@ -116,6 +116,14 @@ def test_verify_corpus(capsys):
     assert all(json.loads(line)["verified"] for line in lines)
 
 
+@pytest.mark.parametrize("spec", ["connected:1", "connected:0", "perfectmatching:1"])
+def test_verify_empty_corpus_is_a_usage_error(capsys, spec):
+    code, out, err = run(capsys, "verify", "--strategy", "ons", "--role", "dom",
+                         "--corpus", spec, "--start", "sepy")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "corpus" in err
+
+
 def test_verify_not_applicable_exit_code(capsys):
     code, _, err = run(capsys, "verify", "--strategy", "bdg-matching",
                        "--role", "dom", "--graph", "path:3",
@@ -133,7 +141,7 @@ def test_verify_failing_strategy_exit_code(capsys):
 
 def test_play_cycle_strategy_beats_random(capsys):
     code, out, _ = run(capsys, "play", "--graph", "cycle:8", "--start", "dom",
-                       "--dom", "random", "--sepy", "cycle", "--seed", "1")
+                       "--dom", "random", "--sepy", "sepy-cycle", "--seed", "1")
     assert code == 0
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert lines[-1] == {"winner": "sepy"}
@@ -246,6 +254,18 @@ def test_graph_file_loading(tmp_path, capsys):
     g6.write_text("A_\n")
     code, out, _ = run(capsys, "solve", "--graph", str(g6), "--start", "dom")
     assert code == 0 and json.loads(out)["winner"] == "dom"
+
+
+@pytest.mark.parametrize("case", ["empty", "blank", "directory", "not-utf8"])
+def test_unreadable_graph_file_is_a_usage_error(tmp_path, capsys, case):
+    path = tmp_path / "g.txt"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes({"empty": b"", "blank": b"  \n\t\n", "not-utf8": b"\xff\xfeA_\n"}[case])
+    code, out, err = run(capsys, "gen", "--graph", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and str(path) in err
 
 
 def test_graph6_literal_loading(capsys):

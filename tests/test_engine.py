@@ -23,8 +23,8 @@ from domgame.engine import (
     trace_lines,
 )
 from domgame.graphs import (
+    Graph,
     disjoint_union,
-    from_edge_list,
     gen_complete,
     gen_cycle,
     gen_path,
@@ -61,7 +61,7 @@ def test_bdg_requires_unit_selections():
 
 def test_isolated_vertex_rejected():
     with pytest.raises(ConfigError, match="isolated"):
-        new_game(ddg(DOM), from_edge_list(3, [(0, 1)]))
+        new_game(ddg(DOM), Graph(3, [(0, 1)]))
 
 
 def test_biased_dom_pass_rights_rejected():

@@ -12,14 +12,12 @@ from domgame.graphs import (
     Graph,
     GraphError,
     automorphisms,
+    bits,
     canonical_key,
-    closed_neighborhood,
-    components,
     disjoint_union,
     enumerate_connected_graphs,
     enumerate_graphs,
     enumerate_isolate_free_graphs,
-    from_edge_list,
     gen_complete,
     gen_cycle,
     gen_path,
@@ -32,51 +30,50 @@ from domgame.graphs import (
 
 
 def test_from_edge_list_k2():
-    g = from_edge_list(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     assert g.n == 2 and g.edges() == [(0, 1)]
 
 
 def test_from_edge_list_c4():
-    g = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert g.m == 4
     assert all(g.degree(v) == 2 for v in range(4))
 
 
 def test_from_edge_list_rejects_self_loop():
     with pytest.raises(GraphError, match="self-loop"):
-        from_edge_list(3, [(0, 0)])
+        Graph(3, [(0, 0)])
 
 
 def test_from_edge_list_rejects_out_of_range():
     with pytest.raises(GraphError, match="out of range"):
-        from_edge_list(3, [(0, 3)])
+        Graph(3, [(0, 3)])
 
 
 def test_duplicate_edges_collapse():
-    g = from_edge_list(2, [(0, 1), (1, 0), (0, 1)])
+    g = Graph(2, [(0, 1), (1, 0), (0, 1)])
     assert g.m == 1
 
 
+def _closed_neighborhood(g, v):
+    return set(bits(g.closed_mask[v]))
+
+
 def test_closed_neighborhood_examples():
-    assert closed_neighborhood(gen_cycle(4), 0) == {3, 0, 1}
-    assert closed_neighborhood(gen_complete(4), 2) == {0, 1, 2, 3}
-    assert closed_neighborhood(gen_path(3), 0) == {0, 1}
-
-
-def test_closed_neighborhood_range_check():
-    with pytest.raises(GraphError):
-        closed_neighborhood(gen_path(3), 5)
+    assert _closed_neighborhood(gen_cycle(4), 0) == {3, 0, 1}
+    assert _closed_neighborhood(gen_complete(4), 2) == {0, 1, 2, 3}
+    assert _closed_neighborhood(gen_path(3), 0) == {0, 1}
 
 
 def test_components_union():
     g = disjoint_union(gen_cycle(4), gen_cycle(8))
-    comps = components(g)
-    assert sorted(len(c) for c in comps) == [4, 8]
-    assert comps[0][0] == 0  # ordered by smallest member
+    comps = g.component_masks()
+    assert sorted(m.bit_count() for m in comps) == [4, 8]
+    assert comps[0] & 1  # ordered by smallest member
 
 
 def test_components_connected():
-    assert components(gen_complete(5)) == [(0, 1, 2, 3, 4)]
+    assert gen_complete(5).component_masks() == (0b11111,)
     assert is_connected(gen_complete(5))
     assert not is_connected(disjoint_union(gen_path(2), gen_path(2)))
 
@@ -85,15 +82,15 @@ def test_components_connected():
 def test_adjacency_symmetry_and_closed_membership(g):
     for v in range(g.n):
         for u in range(g.n):
-            in_nv = u in closed_neighborhood(g, v)
-            in_nu = v in closed_neighborhood(g, u)
+            in_nv = u in _closed_neighborhood(g, v)
+            in_nu = v in _closed_neighborhood(g, u)
             assert in_nv == in_nu
 
 
 def test_generators():
     c8 = gen_cycle(8)
     assert c8.n == 8 and c8.m == 8 and all(c8.degree(v) == 2 for v in range(8))
-    assert gen_path(2) == from_edge_list(2, [(0, 1)])
+    assert gen_path(2) == Graph(2, [(0, 1)])
     k4 = gen_complete(4)
     assert k4.m == 6
     with pytest.raises(GraphError):
@@ -150,7 +147,6 @@ def test_subdivision_map_queries():
     sub, smap = subdivide3(gen_path(2))
     (x, y) = smap.edge_points[(0, 1)]
     assert smap.inner_partner(x) == y and smap.inner_partner(y) == x
-    assert smap.path_of(x) == (0, x, y, 1)
     assert smap.is_sub_vertex(x) and not smap.is_sub_vertex(0)
     assert smap.paths_at(0) == [(x, y, 1)]
 
@@ -267,7 +263,7 @@ def test_canonical_key_is_isomorphism_invariant(g, rng):
 
 
 def test_canonical_key_separates_non_isomorphic():
-    assert canonical_key(gen_path(4)) != canonical_key(from_edge_list(4, [(0, 1), (1, 2), (1, 3)]))
+    assert canonical_key(gen_path(4)) != canonical_key(Graph(4, [(0, 1), (1, 2), (1, 3)]))
 
 
 # --- automorphisms ----------------------------------------------------------------

@@ -133,8 +133,8 @@ def test_first_turn_pass_flag_threads_through_solver():
 
 def _key(state):
     """The solver's memo key of a state's position."""
-    vp, vb, _dp, _db, actor, sel, moved = state.position()
-    return _Solver(state.rules)._key(vp, vb, actor, sel, moved)
+    vp, vb, _dp, _db, actor, sel = state.position()
+    return _Solver(state.rules)._key(vp, vb, actor, sel)
 
 
 def test_palette_twins_share_keys_in_ddg():
@@ -189,9 +189,8 @@ def test_turn_bits_of_long_turns_stay_apart():
     # a (17:1) turn reaches sel = 16, one bit wider than a 4-bit field
     rules = new_game(ddg(DOM, d=17), gen_path(2)).rules
     solver = _Solver(rules)
-    keys = {solver._key(0, 0, actor, sel, moved)
-            for actor in (DOM, SEPY) for sel in range(18) for moved in (False, True)}
-    assert len(keys) == 2 * 18 * 2
+    keys = {solver._key(0, 0, actor, sel) for actor in (DOM, SEPY) for sel in range(18)}
+    assert len(keys) == 2 * 18
 
 
 # --- memoization and limits --------------------------------------------------------------
@@ -240,7 +239,7 @@ def _reachable_positions(cfg, g, rng):
 
 def _orbit_label(group, ddg_rules, pos):
     """Least image of pos under the whole group (x palette swap in DDG)."""
-    vp, vb, _dp, _db, actor, sel, moved = pos
+    vp, vb, _dp, _db, actor, sel = pos
     images = []
     for p in group:
         ip = sum(1 << p[v] for v in range(len(p)) if vp >> v & 1)
@@ -248,7 +247,7 @@ def _orbit_label(group, ddg_rules, pos):
         images.append((ip, ib))
         if ddg_rules:
             images.append((ib, ip))
-    return min(images), actor, sel, moved
+    return min(images), actor, sel
 
 
 def _keys_and_orbits(cfg, g, seed):
@@ -257,9 +256,9 @@ def _keys_and_orbits(cfg, g, seed):
              if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in edges)]
     solver = _Solver(new_game(cfg, g).rules)
     positions = _reachable_positions(cfg, g, random.Random(seed))
-    return [(solver._key(vp, vb, actor, sel, moved),
-             _orbit_label(group, cfg.variant == "ddg", (vp, vb, dp, db, actor, sel, moved)))
-            for vp, vb, dp, db, actor, sel, moved in positions]
+    return [(solver._key(vp, vb, actor, sel),
+             _orbit_label(group, cfg.variant == "ddg", (vp, vb, dp, db, actor, sel)))
+            for vp, vb, dp, db, actor, sel in positions]
 
 
 @pytest.mark.parametrize("name", ["C6", "C7"])

@@ -3,6 +3,7 @@ the acceptance battery."""
 
 import pytest
 
+from domgame.cli import main
 from domgame.engine import (
     BLUE,
     DOM,
@@ -14,8 +15,8 @@ from domgame.engine import (
     new_game,
 )
 from domgame.graphs import (
+    Graph,
     disjoint_union,
-    from_edge_list,
     gen_complete,
     gen_cycle,
     gen_path,
@@ -25,7 +26,6 @@ from domgame.strategies import (
     BdgPlan,
     NotApplicable,
     StrategyViolation,
-    component_safe,
     get_strategy,
 )
 
@@ -164,29 +164,6 @@ def test_dom_pass_not_applicable_without_dom_win_component():
         move_of("dom-pass", st)
 
 
-# --- component safety --------------------------------------------------------------
-
-def test_component_safe_one_move_left():
-    st = play(
-        new_game(ddg(DOM), gen_cycle(4)),
-        Move(0, PURPLE), Move(2, BLUE), Move(1, PURPLE),
-    )
-    assert component_safe(st, {0, 1, 2, 3})
-
-
-def test_component_safe_fresh_false():
-    st = new_game(ddg(DOM), gen_cycle(4))
-    assert not component_safe(st, {0, 1, 2, 3})
-
-
-def test_component_safe_complete():
-    st = play(
-        new_game(ddg(DOM), gen_cycle(4)),
-        Move(0, PURPLE), Move(2, BLUE), Move(1, PURPLE), Move(3, BLUE),
-    )
-    assert component_safe(st, {0, 1, 2, 3})
-
-
 # --- biased play ---------------------------------------------------------------------
 
 def test_biased_opens_then_answers():
@@ -277,7 +254,7 @@ def test_bdg_general_partner_reply_on_bare_edge():
 
 def test_bdg_general_postpones_externals():
     # star K1,3: matching edge (0,1) with center 0, externals 2 and 3
-    g = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
+    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
     plan = BdgPlan.build(g)
     assert plan.external_mask == 0b1100
     st = play(new_game(GameConfig(variant="bdg", starter=SEPY), g), Move(2, BLUE))
@@ -350,7 +327,7 @@ def test_subdiv_strategy_rejects_mismatched_map():
 def test_subdiv_strategy_takes_immediate_win():
     base = gen_cycle(4)
     sub, smap = subdivide3(base)
-    w, x, y, z = smap.path_of(smap.edge_points[(0, 1)][0])
+    x, y = smap.edge_points[(0, 1)]
     st = play(new_game(ddg(DOM), sub), Move(x, PURPLE), Move(y, PURPLE))
     # Dom wanders off; either end of the path now wins immediately
     far = smap.edge_points[(2, 3)][0]
@@ -379,8 +356,9 @@ def test_greedy_falls_back_to_random():
 
 
 def test_registry_aliases():
-    assert get_strategy("cycle").sid == "sepy-cycle"
-    assert get_strategy("greedy-win").sid == "greedy"
-    assert get_strategy("bdg_general").sid == "bdg-general"
-    with pytest.raises(KeyError):
-        get_strategy("nonesuch")
+    # strategies are known by their ids alone: no aliases, no "_" spelling
+    for old in ("cycle", "subdiv", "greedy-win", "bdg_general", "nonesuch"):
+        with pytest.raises(KeyError):
+            get_strategy(old)
+        assert main(["verify", "--strategy", old, "--role", "sepy",
+                     "--graph", "cycle:8", "--start", "dom"]) == 1
