@@ -386,7 +386,18 @@ class GameState:
         return out
 
     def legal_moves(self) -> list[Move]:
-        return [PASS if v is None else Move(v, c) for v, c, _child in self._expand_all()]
+        """The legal moves in canonical order (vertex ascending, the actor's
+        colors in order, the pass last), found without building children."""
+        if self.winner is not None:
+            return []
+        colors = self.rules.colors[self.actor]
+        moves = [Move(v, c) for v in bits(self.uncolored_mask()) for c in colors
+                 if self.select_legal(v, c)]
+        if self.rules.pass_child(*self.position()) is not None:
+            moves.append(PASS)
+        if not moves:
+            raise EngineInvariantError("ongoing state with no legal move for the actor")
+        return moves
 
     def children(self) -> list[tuple[Move, "GameState"]]:
         """(move, successor) for every legal move, in ``legal_moves`` order."""

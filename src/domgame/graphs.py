@@ -463,8 +463,15 @@ def corpus(spec: str) -> list[Graph]:
         bound = int(bound_s)
     except ValueError:
         raise GraphError(f"bad corpus specifier {spec!r}") from None
+    if kind not in ("connected", "isolatefree", "perfectmatching"):
+        raise GraphError(f"unknown corpus kind {kind!r}")
     if bound < 2:
         raise GraphError(f"corpus bound {bound} is below 2: the corpus would be empty")
+    # refuse before enumerating: a perfect matching needs an even n
+    top = bound - bound % 2 if kind == "perfectmatching" else bound
+    if top > _ENUM_LIMIT:
+        raise GraphError(f"corpus {spec!r} needs graphs on {top} vertices; "
+                         f"enumeration supports n <= {_ENUM_LIMIT}")
     out: list[Graph] = []
     if kind == "connected":
         for n in range(2, bound + 1):
@@ -472,13 +479,11 @@ def corpus(spec: str) -> list[Graph]:
     elif kind == "isolatefree":
         for n in range(2, bound + 1):
             out += enumerate_isolate_free_graphs(n)
-    elif kind == "perfectmatching":
+    else:
         from .matching import maximum_matching
 
         for n in range(2, bound + 1, 2):
             for g in enumerate_isolate_free_graphs(n):
                 if len(maximum_matching(g).pairs) * 2 == n:
                     out.append(g)
-    else:
-        raise GraphError(f"unknown corpus kind {kind!r}")
     return out

@@ -23,8 +23,22 @@ and in the disjoint game both players may use both colors, so an automorphic
 image or a palette swap of a position has the same value.  Equal keys mean
 the two positions are images of each other, so any set of automorphisms
 gives sound keys; when the whole group fits in the 2n (C_n has exactly 2n),
-the key is canonical.  The unmemoized search computes no keys and no
-automorphisms and serves as the independent oracle.
+the key is canonical.  Image lookups go through per-automorphism tables of
+two half-width chunks up to n = 16 and of byte-wide chunks past it, so
+set-up stays small on wide graphs.
+
+A position is first looked up by its own encoding: the identity term of its
+key (palette-sorted in DDG) with the same turn bits.  Only on a miss is the
+folded key computed and looked up; the value found or searched is then
+stored under both entries.  A graph without automorphisms has one entry per
+position, since its own encoding is its key.  Both kinds of entry share one
+table and one encoding, and every entry, own or folded, encodes some image
+of a position that holds the stored value.  So an equal entry always means
+a position of the same value, whichever kind stored it: an exact
+transposition (the same coloring by another move order) hits without
+scanning any image, and an own encoding may also meet the folded key of an
+image that a truncated group would have keyed apart.  The unmemoized search
+computes no keys and no automorphisms and serves as the independent oracle.
 
 ``verify_strategy`` walks the full game tree of ``GameState`` with one side
 pinned to a strategy and the other ranging over every legal move (passes
@@ -66,12 +80,15 @@ from .engine import (
 from .graphs import Graph, automorphisms
 
 DEFAULT_VERTEX_CAP = 14
+# entries of the transposition table, up to two per position (see above)
 DEFAULT_ENTRY_CAP = 20_000_000
 
 
 class ResourceLimitError(RuntimeError):
     """The configured state-space bound was exceeded; results would be
-    incomplete, so the solver refuses instead of degrading."""
+    incomplete, so the solver refuses instead of degrading.  The table
+    bound counts entries, and a position takes up to two (its own encoding
+    and its folded key)."""
 
 
 @dataclass(frozen=True)
@@ -141,8 +158,8 @@ class _Solver:
         self.memo: dict[int, str] = {}
         self.nodes = 0
         # a key scans at most 2n images, the most children a node can have
-        self.half = (self.n + 1) // 2
-        self.images = [_image_tables(img, self.half)
+        self.width = (self.n + 1) // 2 if self.n <= 16 else 8
+        self.images = [_image_tables(img, self.width)
                        for img in automorphisms(rules.graph, 2 * self.n)] if use_memo else []
 
     # -- search -------------------------------------------------------------
@@ -153,7 +170,9 @@ class _Solver:
         bits above it: the actor's bit, then sel as the top field, so no
         bound on sel is needed."""
         n = self.n
-        half = self.half
+        if n > 2 * self.width:  # more than two chunks
+            return self._chunked_key(vp, vb, actor, sel)
+        half = self.width
         low = (1 << half) - 1
         pl, ph, bl, bh = vp & low, vp >> half, vb & low, vb >> half
         if self.ddg:
@@ -172,12 +191,44 @@ class _Solver:
                     best = k
         return best | (actor == DOM) << (2 * n) | sel << (2 * n + 1)
 
+    def _chunked_key(self, vp, vb, actor, sel):
+        """``_key`` for n > 16, whose images are looked up a byte at a time."""
+        width = self.width
+        low = (1 << width) - 1
+        best = self._own(vp, vb, actor, sel)
+        for tables in self.images:
+            a = b = 0
+            for i, table in enumerate(tables):
+                a |= table[vp >> width * i & low]
+                b |= table[vb >> width * i & low]
+            best = min(best, self._own(a, b, actor, sel))
+        return best
+
+    def _own(self, vp, vb, actor, sel):
+        """The position's own encoding: the identity term of ``_key``."""
+        n = self.n
+        if self.ddg:
+            own = (vp << n | vb) if vp < vb else (vb << n | vp)
+        else:
+            own = vp | vb << n
+        return own | (actor == DOM) << (2 * n) | sel << (2 * n + 1)
+
     def value(self, vp, vb, dp, db, actor, sel) -> str:
         if self.use_memo:
-            key = self._key(vp, vb, actor, sel)
-            hit = self.memo.get(key)
+            # an exact transposition finds its entry without folding
+            own = self._own(vp, vb, actor, sel)
+            memo = self.memo
+            hit = memo.get(own)
             if hit is not None:
                 return hit
+            key = own
+            if self.images:
+                key = self._key(vp, vb, actor, sel)
+                hit = memo.get(key)
+                if hit is not None:
+                    memo[own] = hit
+                    self._check_cap()
+                    return hit
         self.nodes += 1
         children = self.expand(vp, vb, dp, db, actor, sel)
         if not children:
@@ -194,21 +245,22 @@ class _Solver:
                     result = actor
                     break
         if self.use_memo:
-            if len(self.memo) >= self.entry_cap:
-                raise ResourceLimitError(
-                    f"transposition table exceeded {self.entry_cap} entries"
-                )
-            self.memo[key] = result
+            memo[own] = memo[key] = result
+            self._check_cap()
         return result
 
+    def _check_cap(self):
+        if len(self.memo) > self.entry_cap:
+            raise ResourceLimitError(f"transposition table exceeded {self.entry_cap} entries")
 
-def _image_tables(img, half):
-    """Two lookup tables mapping the low ``half`` bits and the remaining
-    high bits of a vertex mask to their images under ``img``."""
+
+def _image_tables(img, width):
+    """Lookup tables mapping each ``width``-bit chunk of a vertex mask, from
+    the lowest, to its image under ``img``."""
     tables = []
-    for shift, width in ((0, half), (half, len(img) - half)):
-        table = [0] * (1 << width)
-        for m in range(1, 1 << width):
+    for shift in range(0, len(img), width):
+        table = [0] * (1 << min(width, len(img) - shift))
+        for m in range(1, len(table)):
             low = m & -m
             table[m] = table[m ^ low] | 1 << img[shift + low.bit_length() - 1]
         tables.append(table)

@@ -2,7 +2,16 @@ import random
 
 from hypothesis import strategies as st
 
+from domgame.engine import DOM, SEPY, GameConfig
 from domgame.graphs import Graph
+
+# pass rights and (2:1) reach the kernel's pass and mid-turn branches
+RULE_CONFIGS = (
+    GameConfig("ddg", DOM), GameConfig("ddg", SEPY), GameConfig("bdg", DOM),
+    GameConfig("bdg", SEPY), GameConfig("ddg", SEPY, pass_rights="sepy"),
+    GameConfig("ddg", DOM, pass_rights="dom"), GameConfig("ddg", DOM, d=2),
+    GameConfig("ddg", SEPY, d=2),
+)
 
 
 @st.composite

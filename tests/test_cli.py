@@ -124,6 +124,28 @@ def test_verify_empty_corpus_is_a_usage_error(capsys, spec):
     assert err.startswith("error:") and "corpus" in err
 
 
+def _no_enumeration(n):
+    raise AssertionError(f"enumerated n = {n}")
+
+
+@pytest.mark.parametrize("spec", ["connected:9", "isolatefree:12", "perfectmatching:10"])
+def test_verify_corpus_past_the_limit_is_refused_at_once(capsys, monkeypatch, spec):
+    monkeypatch.setattr("domgame.graphs.enumerate_graphs", _no_enumeration)
+    code, out, err = run(capsys, "verify", "--strategy", "ons", "--role", "dom",
+                         "--corpus", spec, "--start", "sepy")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "n <= 8" in err
+
+
+def test_perfect_matching_corpus_stops_at_an_even_bound(monkeypatch):
+    from domgame.graphs import corpus
+
+    # n = 9 has no perfect matching, so this corpus ends at n = 8
+    monkeypatch.setattr("domgame.graphs.enumerate_graphs", _no_enumeration)
+    with pytest.raises(AssertionError, match="enumerated n = 2"):
+        corpus("perfectmatching:9")
+
+
 def test_verify_not_applicable_exit_code(capsys):
     code, _, err = run(capsys, "verify", "--strategy", "bdg-matching",
                        "--role", "dom", "--graph", "path:3",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs_st, random_playout
+from conftest import RULE_CONFIGS, graphs_st, random_playout
 from domgame.engine import (
     BLUE,
     DOM,
@@ -25,6 +25,7 @@ from domgame.engine import (
 from domgame.graphs import (
     Graph,
     disjoint_union,
+    enumerate_isolate_free_graphs,
     gen_complete,
     gen_cycle,
     gen_path,
@@ -121,6 +122,28 @@ def test_legal_moves_count_fresh_c4():
 def test_legal_moves_ordering():
     moves = new_game(ddg(DOM), gen_path(2)).legal_moves()
     assert moves == [Move(0, PURPLE), Move(0, BLUE), Move(1, PURPLE), Move(1, BLUE)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_legal_moves_match_the_kernel_children(n):
+    # every state reachable on the isolate-free graphs of n vertices
+    for g in enumerate_isolate_free_graphs(n):
+        for cfg in RULE_CONFIGS:
+            seen = set()
+            stack = [new_game(cfg, g)]
+            while stack:
+                state = stack.pop()
+                if state.position() in seen:
+                    continue
+                seen.add(state.position())
+                kernel = [PASS if v is None else Move(v, c)
+                          for v, c, _child in state.rules.expand(*state.position())]
+                assert state.legal_moves() == kernel, (cfg, g.edges(), state.history)
+                for _mv, child in state.children():
+                    if child.winner is None:
+                        stack.append(child)
+                    else:
+                        assert child.legal_moves() == []
 
 
 def test_bdg_binds_colors():

@@ -3,10 +3,11 @@ bounds, and the verification walk (including its failure path)."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from conftest import complete_bipartite, random_playout
+from conftest import RULE_CONFIGS, complete_bipartite, random_playout
 from domgame.engine import (
     BLUE,
     DOM,
@@ -18,6 +19,7 @@ from domgame.engine import (
     trace_lines,
 )
 from domgame.graphs import (
+    automorphisms,
     disjoint_union,
     enumerate_isolate_free_graphs,
     gen_complete,
@@ -226,6 +228,39 @@ def test_memo_equivalence_small(corpus):
                 (plain.winner, plain.best_move, plain.pv), (cfg, g.edges())
 
 
+def _decoded_entry(key, g):
+    """The position (vp, vb, dp, db, actor, sel) that a memo key encodes;
+    in DDG it is one of the two palette-swapped images, which share a
+    value."""
+    n = g.n
+    vb, vp = key >> n & g.full_mask, key & g.full_mask
+    dp = db = 0
+    for v in range(n):
+        if vp >> v & 1:
+            dp |= g.closed_mask[v]
+        if vb >> v & 1:
+            db |= g.closed_mask[v]
+    return vp, vb, dp, db, DOM if key >> 2 * n & 1 else SEPY, key >> (2 * n + 1)
+
+
+@pytest.mark.parametrize("corpus", [2, 3, 4, 5, *_SYMMETRIC])
+def test_every_memo_entry_holds_its_positions_value(corpus):
+    # own encodings and folded keys alike: each must encode an image of a
+    # position with the stored value.  (1:2) adds Sepy moves at sel 1, the
+    # only ones here where positions differing in sel alone differ in value.
+    graphs = (enumerate_isolate_free_graphs(corpus) if isinstance(corpus, int)
+              else [_SYMMETRIC[corpus]])
+    for g in graphs:
+        for cfg in (*RULE_CONFIGS, ddg(DOM, s=2)):
+            root = new_game(cfg, g)
+            solver = _Solver(root.rules)
+            solver.value(*root.position())
+            oracle = _Solver(root.rules, use_memo=False)
+            for key, value in solver.memo.items():
+                pos = _decoded_entry(key, g)
+                assert oracle.value(*pos) == value, (cfg, g.edges(), pos)
+
+
 def _reachable_positions(cfg, g, rng):
     positions = set()
     for _ in range(60):
@@ -295,6 +330,41 @@ def test_state_cap_env(monkeypatch):
         solve(ddg(DOM), gen_cycle(5))
     monkeypatch.setenv("DOMGAME_STATE_CAP", "6")
     assert solve(ddg(DOM), gen_cycle(5)).winner == DOM
+
+
+@pytest.mark.parametrize("n", [7, 16, 17, 24])
+@pytest.mark.parametrize("variant", ["ddg", "bdg"])
+def test_key_tables_match_the_images_they_stand_for(n, variant):
+    # two half-width tables up to n = 16, byte-wide chunks past it
+    g = _shuffled(gen_cycle(n), n)
+    solver = _Solver(new_game(GameConfig(variant, DOM), g).rules)
+    assert {len(tables) for tables in solver.images} == {2 if n <= 16 else -(-n // 8)}
+    group = [tuple(range(n)), *automorphisms(g, 2 * n)]
+    rng = random.Random(n)
+    for _ in range(50):
+        vp = rng.getrandbits(n)
+        vb = rng.getrandbits(n) & ~vp
+        actor, sel = rng.choice((DOM, SEPY)), rng.randrange(3)
+        pairs = [tuple(sum(1 << img[v] for v in range(n) if m >> v & 1) for m in (vp, vb))
+                 for img in group]
+        if variant == "ddg":
+            least = min(min(a << n | b, b << n | a) for a, b in pairs)
+        else:
+            least = min(a | b << n for a, b in pairs)
+        assert solver._key(vp, vb, actor, sel) == \
+            least | (actor == DOM) << (2 * n) | sel << (2 * n + 1)
+
+
+def test_wide_graphs_keep_small_key_tables():
+    # with two 12-bit tables for each of its 48 automorphisms, this solve
+    # peaked at 14.5 MiB
+    tracemalloc.start()
+    try:
+        assert solve(ddg(DOM), gen_cycle(24), vertex_cap=24).winner == SEPY
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_entry_cap_fails_fast():
