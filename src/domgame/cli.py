@@ -59,7 +59,10 @@ def _load_graph(spec: str) -> tuple[Graph, SubdivisionMap | None]:
             raise GraphError(f"cannot read graph file {spec!r}: {exc}") from None
         if not text.strip():
             raise ParseError(f"graph file {spec!r} is empty", 0)
-        head = text.lstrip().split("\n", 1)[0].split()
+        # the first line with data once its comment is cut, as in
+        # parse_edge_list; '#' lies outside the graph6 alphabet
+        data = (raw.split("#", 1)[0].split() for raw in text.splitlines())
+        head = next((parts for parts in data if parts), [])
         if all(part.isdigit() for part in head):
             return parse_edge_list(text), None
         return parse_graph6(text.strip().splitlines()[0]), None
@@ -73,7 +76,6 @@ def _config_from_args(args) -> GameConfig:
         d=args.d,
         s=args.s,
         pass_rights=args.pass_,
-        allow_first_turn_pass=args.allow_first_turn_pass,
     )
 
 
@@ -88,8 +90,6 @@ def _add_game_flags(p: argparse.ArgumentParser):
     p.add_argument("-s", type=int, default=1, help="Sepy max selections per turn")
     p.add_argument("--pass", dest="pass_", choices=["none", "dom", "sepy"], default="none",
                    help="which player holds pass rights")
-    p.add_argument("--allow-first-turn-pass", action="store_true",
-                   help="lift the ban on passing in the game's very first move")
 
 
 def cmd_gen(args) -> int:

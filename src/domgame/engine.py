@@ -90,11 +90,11 @@ class GameConfig:
     """Variant, starter, per-turn selection counts and pass rights.
 
     In a biased game Dom colors exactly d vertices per turn (fewer only when
-    he runs out of legal selections) while Sepy colors at most s and may pass
-    a whole turn; that pass right is part of the biased rules, so it is in
-    force whenever (d, s) != (1, 1) regardless of pass_rights.  Passing on
-    the game's very first turn is forbidden unless allow_first_turn_pass is
-    set (kept as an explicit escape hatch, default off in every variant).
+    he runs out of legal selections) while Sepy colors at most s and may
+    pass; that pass right is part of the biased rules, so it is in force
+    whenever (d, s) != (1, 1) regardless of pass_rights, and it is what lets
+    Sepy stop a turn early.  A pass needs pass rights and a colored vertex,
+    so nobody passes on the game's very first move.
     """
 
     variant: str = DDG
@@ -102,7 +102,6 @@ class GameConfig:
     d: int = 1
     s: int = 1
     pass_rights: str = "none"  # "none" | "dom" | "sepy"
-    allow_first_turn_pass: bool = False
 
     def __post_init__(self):
         if self.variant not in (DDG, BDG):
@@ -171,10 +170,11 @@ class Rules:
     asks about history, no pass before the first move, only needs to know
     whether any vertex is colored: a selection always colors a vertex, a
     pass colors none and nothing is ever uncolored, so no move has been
-    made exactly when vp | vb == 0.  dp and db follow from vp and vb too,
-    but every child reads them and recomputing them costs a loop over the
-    colored vertices, so they are carried.  ``expand`` lists a position's
-    children; the other methods serve it.
+    made exactly when vp | vb == 0; a pass needs that and a pass right.
+    dp and db follow from vp and vb too, but every child reads them and
+    recomputing them costs a loop over the colored vertices, so they are
+    carried.  ``expand`` lists a position's children; the other methods
+    serve it.
     """
 
     def __init__(self, config: GameConfig, graph: Graph):
@@ -186,6 +186,7 @@ class Rules:
         self.ddg = config.variant == DDG
         self.colors = {DOM: config.allowed_colors(DOM), SEPY: config.allowed_colors(SEPY)}
         self.caps = {DOM: config.d, SEPY: config.s}
+        self.may_pass = {DOM: config.dom_may_pass, SEPY: config.sepy_may_pass}
 
     def is_vertex(self, v) -> bool:
         return type(v) is int and 0 <= v < self.graph.n
@@ -205,17 +206,13 @@ class Rules:
 
     def pass_child(self, vp, vb, dp, db, actor, sel):
         """The child (vp, vb, dp, db, actor', 0, None) of a pass, or None
-        when passing is illegal here.  A pass never ends the game: it is
-        legal only when the opponent, who moves next, can select."""
-        cfg = self.cfg
-        if actor == SEPY and sel >= 1:
-            pass  # biased mid-turn stop is always available
-        else:
-            allowed = cfg.dom_may_pass if actor == DOM else cfg.sepy_may_pass
-            if not allowed:
-                return None
-            if not (vp | vb or cfg.allow_first_turn_pass):
-                return None
+        when passing is illegal here.  A pass needs the actor's pass right
+        and a colored vertex; sel is unread, since Sepy has made selections
+        this turn only in a biased game, whose pass right lets him stop
+        early.  A pass never ends the game: it is legal only when the
+        opponent, who moves next, can select."""
+        if not (vp | vb and self.may_pass[actor]):
+            return None
         # a pass that leaves the opponent with no selection would stall the
         # game (reachable only in bicolored corner cases)
         other = other_player(actor)
@@ -351,10 +348,6 @@ class GameState:
 
     def uncolored_mask(self) -> int:
         return self.rules.full & ~(self.vmask[PURPLE] | self.vmask[BLUE])
-
-    def undominated_mask(self) -> int:
-        """Vertices dominated by no color."""
-        return self.rules.full & ~(self.dom[PURPLE] | self.dom[BLUE])
 
     def single_dominated_mask(self) -> int:
         """Vertices dominated in exactly one color."""

@@ -222,8 +222,9 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-def random_isolate_free(n: int, rng: random.Random, edge_prob: float = 0.5) -> Graph:
-    """Seeded Erdos-Renyi draw, resampled (then patched) to kill isolates."""
+def random_isolate_free(n: int, rng: random.Random) -> Graph:
+    """Seeded Erdos-Renyi draw with edge probability 1/2, resampled (then
+    patched) to kill isolates."""
     if n < 2:
         raise GraphError("need at least 2 vertices for an isolate-free graph")
     g = Graph(n)
@@ -232,7 +233,7 @@ def random_isolate_free(n: int, rng: random.Random, edge_prob: float = 0.5) -> G
             (u, v)
             for u in range(n)
             for v in range(u + 1, n)
-            if rng.random() < edge_prob
+            if rng.random() < 0.5
         ])
         if not g.has_isolates():
             return g

@@ -80,7 +80,8 @@ from .engine import (
 from .graphs import Graph, automorphisms
 
 DEFAULT_VERTEX_CAP = 14
-# entries of the transposition table, up to two per position (see above)
+# the most entries the transposition table may hold, up to two per position
+# (see above); a solve that needs more raises ResourceLimitError
 DEFAULT_ENTRY_CAP = 20_000_000
 
 
@@ -148,13 +149,11 @@ class VerificationReport:
 class _Solver:
     """Win/lose search over the positions of the rules kernel."""
 
-    def __init__(self, rules: Rules, *, use_memo: bool = True,
-                 entry_cap: int = DEFAULT_ENTRY_CAP):
+    def __init__(self, rules: Rules, *, use_memo: bool = True):
         self.expand = rules.expand
         self.n = rules.graph.n
         self.ddg = rules.ddg
         self.use_memo = use_memo
-        self.entry_cap = entry_cap
         self.memo: dict[int, str] = {}
         self.nodes = 0
         # a key scans at most 2n images, the most children a node can have
@@ -250,8 +249,8 @@ class _Solver:
         return result
 
     def _check_cap(self):
-        if len(self.memo) > self.entry_cap:
-            raise ResourceLimitError(f"transposition table exceeded {self.entry_cap} entries")
+        if len(self.memo) > DEFAULT_ENTRY_CAP:
+            raise ResourceLimitError(f"transposition table exceeded {DEFAULT_ENTRY_CAP} entries")
 
 
 def _image_tables(img, width):
@@ -278,8 +277,7 @@ def _state_cap() -> int:
 
 
 def solve(config: GameConfig, g: Graph, state: GameState | None = None, *,
-          vertex_cap: int | None = None, use_memo: bool = True,
-          entry_cap: int = DEFAULT_ENTRY_CAP) -> SolveResult:
+          vertex_cap: int | None = None, use_memo: bool = True) -> SolveResult:
     """Exact winner under optimal play, with the deterministic best move at
     the root and a principal variation."""
     cap = vertex_cap if vertex_cap is not None else _state_cap()
@@ -293,7 +291,7 @@ def solve(config: GameConfig, g: Graph, state: GameState | None = None, *,
         raise ValueError("state does not belong to the given graph and config")
     if root.winner is not None:
         return SolveResult(root.winner, None, 0, ())
-    solver = _Solver(root.rules, use_memo=use_memo, entry_cap=entry_cap)
+    solver = _Solver(root.rules, use_memo=use_memo)
     pos = root.position()
     winner = solver.value(*pos)
     pv = _principal_variation(solver, pos, winner)

@@ -469,63 +469,21 @@ class BdgGeneral(Strategy):
 
 # --- Sepy's constructions ---------------------------------------------------
 
-@dataclass(frozen=True)
-class CycleMemory:
-    """Normalization fixed after Dom's first move on a cycle: rotate/reflect
-    the labeling and optionally swap the palette so that move reads as
-    position 1 colored purple."""
-
-    offset: int  # cyclic index of Dom's first vertex
-    reflect: bool
-    swap: bool  # True when Dom's first color was blue
-
-
-def _cycle_order(graph: Graph) -> list[int] | None:
-    if graph.n < 3 or not is_connected(graph):
-        return None
-    if any(graph.degree(v) != 2 for v in range(graph.n)):
-        return None
-    order = [0, graph.adj[0][0]]
-    while len(order) < graph.n:
-        a, b = graph.adj[order[-1]]
-        order.append(b if a == order[-2] else a)
-    return order
-
-
-def derive_cycle_memory(state: GameState, order: list[int]) -> CycleMemory:
+def _dom_opening(state: GameState, what: str) -> tuple[int, int]:
+    """(vertex, color) of Dom's opening selection, which ``what`` answers."""
     first_actor, first_move = state.history[0]
     if first_actor != DOM or first_move.is_pass:
-        raise StrategyViolation("cycle play expects Dom's opening selection", state)
-    idx = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    i0 = idx[first_move.vertex]
-    # choose the direction that gives position 2 the smaller real vertex
-    fwd = order[(i0 + 1) % n]
-    rev = order[(i0 - 1) % n]
-    return CycleMemory(
-        offset=i0,
-        reflect=rev < fwd,
-        swap=first_move.color == BLUE,
-    )
-
-
-def _cycle_real_vertex(mem: CycleMemory, order: list[int], pos: int) -> int:
-    n = len(order)
-    step = -(pos - 1) if mem.reflect else (pos - 1)
-    return order[(mem.offset + step) % n]
-
-
-def _cycle_pos(mem: CycleMemory, order: list[int], vertex: int) -> int:
-    n = len(order)
-    i = order.index(vertex)
-    diff = (mem.offset - i) % n if mem.reflect else (i - mem.offset) % n
-    return diff + 1
+        raise StrategyViolation(f"{what} expects Dom's opening selection", state)
+    return first_move.vertex, first_move.color
 
 
 class SepyCycle(Strategy):
     """Sepy's four-ply win on long cycles when Dom starts: echo Dom's color
     next to his opening, then close a monochromatic stretch on whichever
-    side Dom failed to guard."""
+    side Dom failed to guard.
+
+    Positions count along the cycle from Dom's opening (position 1) through
+    its lesser neighbor (position 2), so position n is its other neighbor."""
 
     sid = "sepy-cycle"
     role = SEPY
@@ -536,22 +494,23 @@ class SepyCycle(Strategy):
         _require(not config.biased, "cycle play assumes one selection per turn")
         _require(config.starter == DOM, "cycle play assumes Dom starts")
         _require(config.pass_rights == "none", "cycle play assumes no passing")
-        order = _cycle_order(graph)
-        _require(order is not None and graph.n >= 8, "graph is not a cycle of length at least 8")
-        return order
+        _require(graph.n >= 8 and is_connected(graph)
+                 and all(graph.degree(v) == 2 for v in range(graph.n)),
+                 "graph is not a cycle of length at least 8")
 
     def move(self, state, ctx):
-        order = ctx
-        selects = [m for _a, m in state.history if not m.is_pass]
-        mem = derive_cycle_memory(state, order)
-        color = BLUE if mem.swap else PURPLE  # Dom's own first color
-        if len(selects) == 1:
-            return Move(_cycle_real_vertex(mem, order, 2), color)
-        if len(selects) == 3:
-            n = len(order)
-            k = _cycle_pos(mem, order, selects[2].vertex)
-            pos = n if k in (3, 4, 5) else 3
-            return Move(_cycle_real_vertex(mem, order, pos), color)
+        adj = state.graph.adj
+        v0, color = _dom_opening(state, "cycle play")  # Sepy echoes Dom's color
+        near, far = adj[v0]
+        if state.ply() == 1:  # nobody may pass, so every ply is a selection
+            return Move(near, color)
+        if state.ply() == 3:
+            walk = [v0, near]  # positions 1, 2, ...
+            while len(walk) < 5:
+                a, b = adj[walk[-1]]
+                walk.append(b if a == walk[-2] else a)
+            dom_second = state.history[2][1].vertex
+            return Move(far if dom_second in walk[2:] else walk[2], color)
         raise StrategyViolation("cycle play should have won by its second move", state)
 
 
@@ -579,10 +538,7 @@ class SepySubdiv(Strategy):
         win = state.immediate_win()
         if win is not None:
             return win
-        first_actor, first_move = state.history[0]
-        if first_actor != DOM or first_move.is_pass:
-            raise StrategyViolation("subdivision play expects Dom's opening selection", state)
-        v0, c0 = first_move.vertex, first_move.color
+        v0, c0 = _dom_opening(state, "subdivision play")
         if ctx.is_sub_vertex(v0):
             inner = ctx.inner_partner(v0)
             if state.select_legal(inner, c0):

@@ -3,6 +3,7 @@ and the interactive seat."""
 
 import io
 import json
+import re
 import sys
 from contextlib import redirect_stderr
 from unittest.mock import patch
@@ -101,10 +102,11 @@ def test_game_flags_are_declared_once(capsys):
         "-d D Dom selections per turn",
         "-s S Sepy max selections per turn",
         "--pass {none,dom,sepy} which player holds pass rights",
-        "--allow-first-turn-pass lift the ban on passing in the game's very first move",
     )
     for flag in flags:
         assert flag in solve_help and flag in verify_help and flag in play_help, flag
+    options = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", solve_help)) - {"-h", "--help"}
+    assert options == {"--graph", "--variant", "--start", "--pass", "-d", "-s"}
 
 
 def test_verify_corpus(capsys):
@@ -276,6 +278,18 @@ def test_graph_file_loading(tmp_path, capsys):
     g6.write_text("A_\n")
     code, out, _ = run(capsys, "solve", "--graph", str(g6), "--start", "dom")
     assert code == 0 and json.loads(out)["winner"] == "dom"
+
+
+@pytest.mark.parametrize("text", ["# a path\n3 2\n0 1\n1 2\n",
+                                  "3 2  # header\n0 1\n1 2  # an edge\n"],
+                         ids=["comment-line", "header-comment"])
+def test_commented_edge_list_file_loading(tmp_path, capsys, text):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    code, out, _ = run(capsys, "gen", "--graph", str(path))
+    assert code == 0
+    path.write_text("3 2\n0 1\n1 2\n")
+    assert run(capsys, "gen", "--graph", str(path)) == (0, out, "")
 
 
 @pytest.mark.parametrize("case", ["empty", "blank", "directory", "not-utf8"])

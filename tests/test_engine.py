@@ -103,13 +103,6 @@ def test_first_move_pass_banned():
     assert PASS in st_.legal_moves()
 
 
-def test_first_move_pass_flag():
-    cfg = GameConfig(variant="ddg", starter=SEPY, pass_rights="sepy",
-                     allow_first_turn_pass=True)
-    st_ = new_game(cfg, gen_cycle(4))
-    assert PASS in st_.legal_moves()
-
-
 def test_pass_needs_rights():
     st_ = play(new_game(ddg(SEPY), gen_cycle(4)), Move(0, PURPLE))
     assert PASS not in st_.legal_moves()  # Dom holds no rights

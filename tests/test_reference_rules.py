@@ -62,7 +62,7 @@ class Reference:
         else:
             biased = (cfg.d, cfg.s) != (1, 1)
             rights = cfg.pass_rights == player or (player == SEPY and biased)
-            allowed = rights and (moved or cfg.allow_first_turn_pass)
+            allowed = rights and moved
         # a pass must leave the opponent a selection
         return allowed and bool(self.selections(colors, other(player)))
 

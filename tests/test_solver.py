@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from conftest import RULE_CONFIGS, complete_bipartite, random_playout
+from domgame import solver
 from domgame.engine import (
     BLUE,
     DOM,
@@ -121,14 +122,6 @@ def test_result_json_shape():
     assert list(blob) == ["graph", "config", "winner", "nodes", "pv"]
     assert list(blob["config"]) == ["variant", "start", "d", "s", "pass"]
     assert blob["graph"] == "A_"
-
-
-def test_first_turn_pass_flag_threads_through_solver():
-    cfg = GameConfig(variant="ddg", starter="sepy", pass_rights="sepy",
-                     allow_first_turn_pass=True)
-    # with an immediate pass available the game effectively flips starters,
-    # but a connected graph stays a Dom win either way
-    assert solve(cfg, gen_path(3)).winner == DOM
 
 
 # --- state keys ----------------------------------------------------------------------
@@ -367,14 +360,15 @@ def test_wide_graphs_keep_small_key_tables():
     assert peak < 4 * 2**20
 
 
-def test_entry_cap_fails_fast():
+def test_entry_cap_fails_fast(monkeypatch):
     cfg, g = ddg(SEPY), gen_cycle(8)
     root = new_game(cfg, g)
     uncapped = _Solver(root.rules)
     uncapped.value(*root.position())
     assert len(uncapped.memo) > 10
+    monkeypatch.setattr(solver, "DEFAULT_ENTRY_CAP", 10)
     with pytest.raises(ResourceLimitError, match="entries"):
-        solve(cfg, g, entry_cap=10)
+        solve(cfg, g)
 
 
 def test_large_automorphism_groups_solve():

@@ -1,6 +1,8 @@
 """Strategy behaviors pinned move by move; exhaustive certification lives in
 the acceptance battery."""
 
+import random
+
 import pytest
 
 from domgame.cli import main
@@ -20,8 +22,10 @@ from domgame.graphs import (
     gen_complete,
     gen_cycle,
     gen_path,
+    relabel,
     subdivide3,
 )
+from domgame.solver import verify_strategy
 from domgame.strategies import (
     BdgPlan,
     NotApplicable,
@@ -82,7 +86,7 @@ def test_ons_single_color_case_when_nothing_undominated():
         new_game(ddg(SEPY), gen_path(4)),
         Move(1, PURPLE), Move(2, BLUE), Move(0, BLUE),
     )
-    assert st.undominated_mask() == 0
+    assert st.dom[PURPLE] | st.dom[BLUE] == st.graph.full_mask
     assert move_of("ons", st) == Move(3, PURPLE)
 
 
@@ -288,6 +292,18 @@ def test_cycle_strategy_normalizes_any_opening():
     st = play(st, mv, Move(4, PURPLE))
     mv2 = move_of("sepy-cycle", st)
     assert play(st, mv2).status.winner == SEPY
+
+
+@pytest.mark.parametrize("n", range(8, 13))
+def test_cycle_strategy_wins_on_relabelled_cycles(n):
+    # the replies walk the cycle from Dom's opening through its lesser
+    # neighbor, whatever the labels
+    rng = random.Random(n)
+    for _ in range(5):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rep = verify_strategy("sepy-cycle", SEPY, ddg(DOM), relabel(gen_cycle(n), perm))
+        assert rep.verified and rep.max_plies <= 4, perm
 
 
 def test_cycle_strategy_not_applicable_on_short_cycles():
