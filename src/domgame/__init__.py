@@ -54,7 +54,6 @@ from .solver import (
     ResourceLimitError,
     SolveResult,
     VerificationReport,
-    best_move,
     solve,
     verify_strategy,
 )

@@ -56,6 +56,19 @@ def _check(cond, message):
         raise AssertionError(message)
 
 
+def _certified(strategy, role, cfg, graphs, *, solved=True) -> int:
+    """Certify the strategy playing role on every graph and, when solved,
+    check that the solver names role the winner too; returns the count."""
+    count = 0
+    for g in graphs:
+        case = f"{emit_graph6(g)} {cfg.starter}-start"
+        _check(verify_strategy(strategy, role, cfg, g).verified, f"{strategy} failed on {case}")
+        if solved:
+            _check(solve(cfg, g).winner == role, f"{case} not {role}-win")
+        count += 1
+    return count
+
+
 # -- 1 ------------------------------------------------------------------------
 
 def crit_cycles() -> str:
@@ -79,28 +92,21 @@ def _connected_corpus():
         yield from enumerate_connected_graphs(n)
 
 
+def _isolate_free_corpus():
+    for n in range(2, 7):
+        yield from enumerate_isolate_free_graphs(n)
+
+
 def crit_ons_connected() -> str:
     """Sepy-start on a connected graph: Dom wins, and opposite-neighbor play
     is a certified winning strategy, over the whole n <= 6 corpus."""
-    cfg = _ddg(SEPY)
-    count = 0
-    for g in _connected_corpus():
-        _check(solve(cfg, g).winner == DOM, f"{emit_graph6(g)} not Dom-win")
-        rep = verify_strategy("ons", DOM, cfg, g)
-        _check(rep.verified, f"ons failed on {emit_graph6(g)}")
-        count += 1
+    count = _certified("ons", DOM, _ddg(SEPY), _connected_corpus())
     return f"{count} connected graphs: solver Dom-win and ons certified"
 
 
 def crit_onsp_pass() -> str:
     """Same corpus with Sepy allowed to pass (never in the first move)."""
-    cfg = _ddg(SEPY, pass_rights=SEPY)
-    count = 0
-    for g in _connected_corpus():
-        _check(solve(cfg, g).winner == DOM, f"{emit_graph6(g)} not Dom-win with passes")
-        rep = verify_strategy("onsp", DOM, cfg, g)
-        _check(rep.verified, f"onsp failed on {emit_graph6(g)}")
-        count += 1
+    count = _certified("onsp", DOM, _ddg(SEPY, pass_rights=SEPY), _connected_corpus())
     return f"{count} connected graphs with Sepy passes: solver Dom-win and onsp certified"
 
 
@@ -121,17 +127,10 @@ def _two_component_unions(total: int):
 def crit_dom_pass_unions() -> str:
     """Dom's pass rights beat every two-component union (total n <= 8) in the
     Sepy-start game, and the C4+C8 Dom-start game with pass rights."""
-    g = disjoint_union(gen_cycle(4), gen_cycle(8))
-    cfg = _ddg(DOM, pass_rights=DOM)
-    _check(solve(cfg, g).winner == DOM, "C4+C8 Dom-start with Dom passes not Dom-win")
-    rep = verify_strategy("dom-pass", DOM, cfg, g)
-    _check(rep.verified, "dom-pass failed on C4+C8 Dom-start")
-    cfg = _ddg(SEPY, pass_rights=DOM)
-    count = 0
-    for u in _two_component_unions(8):
-        rep = verify_strategy("dom-pass", DOM, cfg, u)
-        _check(rep.verified, f"dom-pass failed on union {emit_graph6(u)}")
-        count += 1
+    _certified("dom-pass", DOM, _ddg(DOM, pass_rights=DOM),
+               [disjoint_union(gen_cycle(4), gen_cycle(8))])
+    count = _certified("dom-pass", DOM, _ddg(SEPY, pass_rights=DOM), _two_component_unions(8),
+                       solved=False)
     return f"C4+C8 Dom-start certified; {count} Sepy-start unions certified"
 
 
@@ -152,16 +151,10 @@ def crit_safe_start() -> str:
     """A nested closed-neighborhood pair gives Dom a certified Dom-start win
     (complete graphs, paths, and the whole connected n <= 6 corpus that has
     such a pair)."""
-    cfg = _ddg(DOM)
     fixtures = [gen_complete(n) for n in range(2, 7)]
     fixtures += [gen_path(n) for n in range(2, 8)]
     bulk = [g for g in _connected_corpus() if _safe_first_vertex(g) is not None]
-    count = 0
-    for g in fixtures + bulk:
-        rep = verify_strategy("dom-start-safe", DOM, cfg, g)
-        _check(rep.verified, f"safe-start failed on {emit_graph6(g)}")
-        _check(solve(cfg, g).winner == DOM, f"{emit_graph6(g)} not Dom-win")
-        count += 1
+    count = _certified("dom-start-safe", DOM, _ddg(DOM), fixtures + bulk)
     return f"{count} graphs with nested neighborhoods: certified and solver-agreed"
 
 
@@ -187,15 +180,8 @@ def crit_biased_two_one() -> str:
     """Two selections per Dom turn beat every isolate-free graph: strategy
     certified on n <= 6 (both starts), solver agreement there and on larger
     fixtures up to n = 10."""
-    count = 0
-    for n in range(2, 7):
-        for g in enumerate_isolate_free_graphs(n):
-            for start in (DOM, SEPY):
-                cfg = _ddg(start, d=2, s=1)
-                rep = verify_strategy("biased-dom", DOM, cfg, g)
-                _check(rep.verified, f"biased-dom failed on {emit_graph6(g)} {start}-start")
-                _check(solve(cfg, g).winner == DOM, f"{emit_graph6(g)} {start}-start not Dom-win")
-                count += 1
+    count = sum(_certified("biased-dom", DOM, _ddg(start, d=2, s=1), _isolate_free_corpus())
+                for start in (DOM, SEPY))
     fixtures = [
         gen_cycle(7), gen_cycle(8), gen_cycle(10), gen_path(10),
         Graph(6, [(u, v + 3) for u in range(3) for v in range(3)]),  # K3,3
@@ -216,15 +202,10 @@ def crit_biased_two_one() -> str:
 def crit_bdg_perfect_matching() -> str:
     """Matching play wins the bicolored game on every isolate-free graph with
     a perfect matching, n in {2, 4, 6}, both starts."""
-    count = 0
-    for n in (2, 4, 6):
-        for g in enumerate_isolate_free_graphs(n):
-            if 2 * len(maximum_matching(g).pairs) != n:
-                continue
-            for start in (DOM, SEPY):
-                rep = verify_strategy("bdg-matching", DOM, _bdg(start), g)
-                _check(rep.verified, f"bdg-matching failed on {emit_graph6(g)} {start}-start")
-                count += 1
+    graphs = [g for n in (2, 4, 6) for g in enumerate_isolate_free_graphs(n)
+              if 2 * len(maximum_matching(g).pairs) == n]
+    count = sum(_certified("bdg-matching", DOM, _bdg(start), graphs, solved=False)
+                for start in (DOM, SEPY))
     return f"{count} perfect-matching cases certified"
 
 
@@ -232,15 +213,8 @@ def crit_bdg_general() -> str:
     """The matching-based rules win the bicolored game on every isolate-free
     graph: certified on n <= 6 both starts, solver agreement there and on 100
     seeded random graphs up to n = 10."""
-    count = 0
-    for n in range(2, 7):
-        for g in enumerate_isolate_free_graphs(n):
-            for start in (DOM, SEPY):
-                cfg = _bdg(start)
-                rep = verify_strategy("bdg-general", DOM, cfg, g)
-                _check(rep.verified, f"bdg-general failed on {emit_graph6(g)} {start}-start")
-                _check(solve(cfg, g).winner == DOM, f"{emit_graph6(g)} {start}-start not Dom-win")
-                count += 1
+    count = sum(_certified("bdg-general", DOM, _bdg(start), _isolate_free_corpus())
+                for start in (DOM, SEPY))
     rng = random.Random(20260810)
     for i in range(100):
         g = random_isolate_free(rng.randrange(2, 11), rng)
@@ -459,11 +433,13 @@ ITEMS: tuple[Item, ...] = (
 
 
 def run_suite(only: str | None = None, out=print) -> bool:
-    """Run (a filtered subset of) the battery; one line per item."""
+    """Run (a filtered subset of) the battery; one line per item.  A filter
+    that no item id contains raises KeyError, so a typo cannot pass."""
+    items = [item for item in ITEMS if not only or only in item.item_id]
+    if only and not items:
+        raise KeyError(f"no acceptance item id contains {only!r}")
     ok = True
-    for item in ITEMS:
-        if only and only not in item.item_id:
-            continue
+    for item in items:
         try:
             detail = item.fn()
             out(f"[PASS] {item.item_id}: {detail}")

@@ -26,6 +26,7 @@ from .engine import (
     IllegalMoveError,
     Move,
     new_game,
+    trace_record,
 )
 from .formats import (
     ParseError,
@@ -37,7 +38,7 @@ from .formats import (
     resolve_generator_spec,
 )
 from .graphs import Graph, GraphError, SubdivisionMap, corpus
-from .solver import ResourceLimitError, best_move, solve, verify_strategy
+from .solver import ResourceLimitError, solve, verify_strategy
 from .strategies import NotApplicable, StrategyViolation, get_strategy, strategy_ids
 
 EXIT_OK = 0
@@ -157,7 +158,7 @@ def _seat_mover(name: str, role: str, config, g, submap, seed):
     if name == "human":
         return _human_move
     if name == "solver":
-        return lambda st: best_move(config, g, st)[0]
+        return lambda st: solve(config, g, st).best_move
     strat = get_strategy(name)
     if strat.role is not None and strat.role != role:
         raise NotApplicable(f"strategy {strat.sid} plays {strat.role}, not {role}")
@@ -173,19 +174,9 @@ def cmd_play(args) -> int:
         SEPY: _seat_mover(args.sepy, SEPY, config, g, submap, args.seed),
     }
     state = new_game(config, g)
-    ply = 0
     while state.status.ongoing:
-        mover = movers[state.actor]
-        actor = state.actor
-        mv = mover(state)
-        state = state.apply(mv)
-        ply += 1
-        print(json.dumps({
-            "ply": ply,
-            "actor": actor,
-            "move": mv.to_json(),
-            "status": state.status.label(),
-        }))
+        state = state.apply(movers[state.actor](state))
+        print(json.dumps(trace_record(state)))
     print(json.dumps({"winner": state.status.winner}))
     return EXIT_OK
 

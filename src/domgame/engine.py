@@ -87,7 +87,9 @@ PASS = Move()
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Variant, starter, per-turn selection counts and pass rights.
+    """The parameters of a game: variant, starter, per-turn selection counts
+    and the holder of pass rights.  The rights they grant, each player's
+    colors and who may pass, are worked out once, in ``Rules``.
 
     In a biased game Dom colors exactly d vertices per turn (fewer only when
     he runs out of legal selections) while Sepy colors at most s and may
@@ -120,19 +122,6 @@ class GameConfig:
     @property
     def biased(self) -> bool:
         return (self.d, self.s) != (1, 1)
-
-    @property
-    def sepy_may_pass(self) -> bool:
-        return self.pass_rights == SEPY or self.biased
-
-    @property
-    def dom_may_pass(self) -> bool:
-        return self.pass_rights == DOM
-
-    def allowed_colors(self, actor: str) -> tuple[int, ...]:
-        if self.variant == BDG:
-            return (PURPLE,) if actor == DOM else (BLUE,)
-        return (PURPLE, BLUE)
 
     def to_json(self):
         return {
@@ -175,6 +164,12 @@ class Rules:
     recomputing them costs a loop over the colored vertices, so they are
     carried.  ``expand`` lists a position's children; the other methods
     serve it.
+
+    The rules also hold the rights the config grants: ``colors`` maps each
+    player to the colors he may use (both in the disjoint game; Dom purple
+    and Sepy blue in the bicolored one), and ``may_pass`` to whether he
+    holds a pass right (Dom with pass rights "dom"; Sepy with pass rights
+    "sepy", and in every biased game).
     """
 
     def __init__(self, config: GameConfig, graph: Graph):
@@ -184,9 +179,11 @@ class Rules:
         self.closed = graph.closed_mask
         self.closed_verts = tuple(tuple(bits(m)) for m in graph.closed_mask)
         self.ddg = config.variant == DDG
-        self.colors = {DOM: config.allowed_colors(DOM), SEPY: config.allowed_colors(SEPY)}
+        self.colors = ({DOM: (PURPLE, BLUE), SEPY: (PURPLE, BLUE)} if self.ddg
+                       else {DOM: (PURPLE,), SEPY: (BLUE,)})
         self.caps = {DOM: config.d, SEPY: config.s}
-        self.may_pass = {DOM: config.dom_may_pass, SEPY: config.sepy_may_pass}
+        self.may_pass = {DOM: config.pass_rights == DOM,
+                         SEPY: config.pass_rights == SEPY or config.biased}
 
     def is_vertex(self, v) -> bool:
         return type(v) is int and 0 <= v < self.graph.n
@@ -337,11 +334,6 @@ class GameState:
         return [PURPLE if vp >> v & 1 else BLUE if vb >> v & 1 else UNCOLORED
                 for v in range(self.graph.n)]
 
-    @property
-    def any_move_made(self) -> bool:
-        """Whether a selection has been made: only selections color vertices."""
-        return bool(self.vmask[PURPLE] | self.vmask[BLUE])
-
     def position(self) -> tuple:
         """The kernel position (vp, vb, dp, db, actor, sel)."""
         return (*self.vmask, *self.dom, self.actor, self.selections_done)
@@ -477,22 +469,22 @@ def new_game(config: GameConfig, g: Graph) -> GameState:
 
 # -- replay / trace ---------------------------------------------------------
 
+def trace_record(state: GameState) -> dict:
+    """The JSON-lines trace record of the state's latest move."""
+    actor, move = state.history[-1]
+    return {"ply": state.ply(), "actor": actor, "move": move.to_json(),
+            "status": state.status.label()}
+
+
 def trace_lines(state: GameState) -> list[dict]:
     """Replay the state's history into the JSON-lines trace records."""
     cur = new_game(state.config, state.graph)
     out = []
-    for ply, (actor, move) in enumerate(state.history, start=1):
+    for actor, move in state.history:
         if cur.actor != actor:
             raise EngineInvariantError("history actor mismatch during replay")
         cur = cur.apply(move)
-        out.append(
-            {
-                "ply": ply,
-                "actor": actor,
-                "move": move.to_json(),
-                "status": cur.status.label(),
-            }
-        )
+        out.append(trace_record(cur))
     return out
 
 

@@ -101,9 +101,12 @@ class SolveResult:
     ``pv``."""
 
     winner: str
-    best_move: Move | None
     nodes: int
     pv: tuple[Move, ...]
+
+    @property
+    def best_move(self) -> Move | None:
+        return self.pv[0] if self.pv else None
 
     def to_json(self, graph: Graph, config: GameConfig) -> dict:
         from .formats import emit_graph6
@@ -290,12 +293,12 @@ def solve(config: GameConfig, g: Graph, state: GameState | None = None, *,
     if root.graph != g or root.config != config:
         raise ValueError("state does not belong to the given graph and config")
     if root.winner is not None:
-        return SolveResult(root.winner, None, 0, ())
+        return SolveResult(root.winner, 0, ())
     solver = _Solver(root.rules, use_memo=use_memo)
     pos = root.position()
     winner = solver.value(*pos)
     pv = _principal_variation(solver, pos, winner)
-    return SolveResult(winner, pv[0], solver.nodes, tuple(pv))
+    return SolveResult(winner, solver.nodes, tuple(pv))
 
 
 def _principal_variation(solver: _Solver, pos, winner: str, limit: int = 200) -> list[Move]:
@@ -318,16 +321,6 @@ def _principal_variation(solver: _Solver, pos, winner: str, limit: int = 200) ->
     return pv
 
 
-def best_move(config: GameConfig, g: Graph, state: GameState | None = None, *,
-              vertex_cap: int | None = None) -> tuple[Move, bool]:
-    """The actor's minimax move and whether it actually wins (False means
-    every move loses and the least one is returned)."""
-    res = solve(config, g, state, vertex_cap=vertex_cap)
-    if res.best_move is None:
-        raise ValueError("game is already over")
-    return res.best_move, res.winner == (state.actor if state else config.starter)
-
-
 def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
                     submap=None, seed=None) -> VerificationReport:
     """Certify that `strategy` playing `role` beats every line of opponent
@@ -348,7 +341,7 @@ def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
     start = new_game(config, g)
     rules = start.rules
     use_memo = strat.history_independent
-    opponent_passes = config.sepy_may_pass if role == DOM else config.dom_may_pass
+    opponent_passes = rules.may_pass[other_player(role)]
     memo: dict = {}  # key -> the most plies from a node of that key to the end
     stats = {"leaves": 0, "max_plies": 0}
 

@@ -95,19 +95,16 @@ def _ons_search(state: GameState, anchor_v: int, anchor_c: int, region: int | No
     return None
 
 
-def _anchor(state: GameState, *, require_sepy: bool) -> tuple[int, int]:
-    last = state.last_select
-    if last is None:
+def _anchor(state: GameState) -> tuple[int, int]:
+    """(vertex, color) of the latest selection, whoever made it."""
+    if state.last_select is None:
         raise StrategyViolation("no selection in the history to answer", state)
-    v, c, actor = last
-    if require_sepy and actor != SEPY:
-        raise StrategyViolation("opposite-neighbor play expects Sepy to have just moved", state)
-    return v, c
+    return state.last_select[:2]
 
 
-def _answer(state: GameState, *, require_sepy: bool) -> Move:
+def _answer(state: GameState) -> Move:
     """The opposite-neighbor answer to the latest selection."""
-    v, c = _anchor(state, require_sepy=require_sepy)
+    v, c = _anchor(state)
     mv = _ons_search(state, v, c)
     if mv is None:
         raise StrategyViolation("no opposite-neighbor move available", state)
@@ -154,8 +151,9 @@ def _every_colored_has_opposite_neighbor(state: GameState) -> bool:
 
 
 class Ons(Strategy):
-    """Dom answers Sepy's latest vertex with the complementary color next to
-    it, falling back to the frontier construction."""
+    """Dom answers the latest selection with the complementary color next to
+    it, falling back to the frontier construction.  Without passes turns
+    alternate, so the latest selection before Dom's move is always Sepy's."""
 
     sid = "ons"
     role = DOM
@@ -169,7 +167,7 @@ class Ons(Strategy):
         return None
 
     def move(self, state, ctx):
-        return _answer(state, require_sepy=True)
+        return _answer(state)
 
     def check_invariants(self, state, ctx):
         if not _every_colored_has_opposite_neighbor(state):
@@ -178,12 +176,11 @@ class Ons(Strategy):
             )
 
 
-class Onsp(Strategy):
-    """Pass-aware variant: the anchor is the latest selection regardless of
-    who made it, so Dom can answer his own vertex after a Sepy pass."""
+class Onsp(Ons):
+    """``Ons`` with passing allowed: the same answer to the latest selection,
+    which after a Sepy pass is Dom's own."""
 
     sid = "onsp"
-    role = DOM
 
     def prepare(self, config, graph, *, submap=None, seed=None):
         _require(config.variant == DDG, "pass-aware opposite-neighbor play is for the disjoint game")
@@ -191,11 +188,6 @@ class Onsp(Strategy):
         _require(config.starter == SEPY, "pass-aware opposite-neighbor play assumes Sepy starts")
         _require(is_connected(graph), "pass-aware opposite-neighbor play assumes a connected graph")
         return None
-
-    def move(self, state, ctx):
-        return _answer(state, require_sepy=False)
-
-    check_invariants = Ons.check_invariants
 
 
 def _safe_first_vertex(graph: Graph) -> int | None:
@@ -228,7 +220,7 @@ class DomStartSafe(Strategy):
     def move(self, state, ctx):
         if not state.history:
             return Move(ctx, PURPLE)
-        return _answer(state, require_sepy=False)
+        return _answer(state)
 
 
 @lru_cache(maxsize=None)
@@ -266,11 +258,11 @@ class DomPass(Strategy):
         return opening
 
     def move(self, state, ctx):
-        if not state.any_move_made:
+        if not state.history:  # the first move is never a pass
             if ctx is None:
                 raise StrategyViolation("missing opening move", state)
             return ctx
-        v, c = _anchor(state, require_sepy=False)
+        v, c = _anchor(state)
         region = state.graph.component_of(v)
         if not any(state.select_legal(u, col)
                    for u in bits(state.uncolored_mask() & region) for col in (PURPLE, BLUE)):
@@ -556,7 +548,7 @@ class SepySubdiv(Strategy):
 def _state_digest(state: GameState, seed) -> int:
     raw = (
         f"{seed}|{state.vmask[PURPLE]}|{state.vmask[BLUE]}|{state.actor}|"
-        f"{state.selections_done}|{state.any_move_made}|{state.last_select}"
+        f"{state.selections_done}|{bool(state.history)}|{state.last_select}"
     )
     return int.from_bytes(hashlib.sha256(raw.encode()).digest()[:8], "big")
 

@@ -6,7 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` for the live report, or
 
 import pytest
 
-from domgame.acceptance import ITEMS, _assert_state_sound, run_suite
+from domgame.acceptance import ITEMS, _assert_state_sound
 
 
 @pytest.mark.parametrize("item", ITEMS, ids=[item.item_id for item in ITEMS])

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from domgame.cli import _human_move, main
 from domgame.engine import COLOR_NAMES, DOM, PURPLE, GameConfig, Move, new_game, replay
-from domgame.formats import resolve_generator_spec
 from domgame.graphs import gen_cycle
 
 
@@ -267,6 +266,12 @@ def test_suite_filtered(capsys):
     code, out, _ = run(capsys, "suite", "--only", "c4c8")
     assert code == 0
     assert "[PASS] c4c8-passing" in out
+
+
+def test_suite_filter_matching_nothing_fails(capsys):
+    code, out, err = run(capsys, "suite", "--only", "nonesuch")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "nonesuch" in err
 
 
 def test_graph_file_loading(tmp_path, capsys):

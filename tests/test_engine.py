@@ -26,7 +26,6 @@ from domgame.graphs import (
     Graph,
     disjoint_union,
     enumerate_isolate_free_graphs,
-    gen_complete,
     gen_cycle,
     gen_path,
 )
@@ -71,8 +70,8 @@ def test_biased_dom_pass_rights_rejected():
 
 
 def test_biased_implies_sepy_pass():
-    assert GameConfig(variant="ddg", starter=DOM, d=2).sepy_may_pass
-    assert not GameConfig(variant="ddg", starter=DOM).sepy_may_pass
+    assert new_game(GameConfig(variant="ddg", starter=DOM, d=2), gen_path(2)).rules.may_pass[SEPY]
+    assert not new_game(GameConfig(variant="ddg", starter=DOM), gen_path(2)).rules.may_pass[SEPY]
 
 
 # --- legality -------------------------------------------------------------------

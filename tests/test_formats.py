@@ -19,7 +19,6 @@ from domgame.formats import (
     resolve_generator_spec,
 )
 from domgame.graphs import (
-    Graph,
     GraphError,
     enumerate_graphs,
     gen_complete,

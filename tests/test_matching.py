@@ -9,7 +9,6 @@ from domgame.graphs import (
     Graph,
     enumerate_connected_graphs,
     enumerate_graphs,
-    gen_complete,
     gen_cycle,
     gen_path,
     gen_petersen,

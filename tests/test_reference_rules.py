@@ -107,7 +107,7 @@ def other(player):
 
 def _reference_position(state):
     return (tuple(None if c == -1 else c for c in state.colors), state.actor,
-            state.selections_done, state.any_move_made)
+            state.selections_done, bool(state.history))
 
 
 _CONFIGS = {

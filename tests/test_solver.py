@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import RULE_CONFIGS, complete_bipartite, random_playout
+from conftest import RULE_CONFIGS, complete_bipartite
 from domgame import solver
 from domgame.engine import (
     BLUE,
@@ -31,7 +31,6 @@ from domgame.graphs import (
 from domgame.solver import (
     ResourceLimitError,
     _Solver,
-    best_move,
     solve,
     verify_strategy,
 )
@@ -92,18 +91,18 @@ def test_solve_from_midgame_state():
 # --- best moves -------------------------------------------------------------------
 
 def test_best_move_k2():
-    mv, winning = best_move(ddg(DOM), gen_path(2))
-    assert mv == Move(0, PURPLE) and winning
+    res = solve(ddg(DOM), gen_path(2))
+    assert res.best_move == Move(0, PURPLE) and res.winner == DOM
 
 
 def test_best_move_p3_safe_vertex():
-    mv, winning = best_move(ddg(DOM), gen_path(3))
-    assert mv == Move(1, PURPLE) and winning
+    res = solve(ddg(DOM), gen_path(3))
+    assert res.best_move == Move(1, PURPLE) and res.winner == DOM
 
 
 def test_best_move_lost_position_annotated():
-    mv, winning = best_move(ddg(DOM), gen_cycle(8))
-    assert mv == Move(0, PURPLE) and not winning
+    res = solve(ddg(DOM), gen_cycle(8))
+    assert res.best_move == Move(0, PURPLE) and res.winner != DOM
 
 
 def test_principal_variation_replays_to_the_winner():
@@ -161,8 +160,9 @@ def test_best_move_value_maps_under_palette_swap():
             twin = twin.apply(Move(mv.vertex, 1 - mv.color))
         if not state.status.ongoing:
             continue
-        mv, winning = best_move(cfg, g, state)
-        if winning:
+        res = solve(cfg, g, state)
+        mv = res.best_move
+        if res.winner == state.actor:
             # the swapped image of a winning move must win the twin game
             after = twin.apply(Move(mv.vertex, 1 - mv.color))
             if after.status.ongoing:
@@ -209,13 +209,10 @@ _SYMMETRIC = {
 
 @pytest.mark.parametrize("corpus", [2, 3, 4, 5, *_SYMMETRIC])
 def test_memo_equivalence_small(corpus):
-    # pass rights and (2:1) reach the expander's pass and mid-turn branches
-    configs = (ddg(DOM), ddg(SEPY), bdg(DOM), bdg(SEPY), ddg(SEPY, pass_rights="sepy"),
-               ddg(DOM, pass_rights="dom"), ddg(DOM, d=2), ddg(SEPY, d=2))
     graphs = (enumerate_isolate_free_graphs(corpus) if isinstance(corpus, int)
               else [_SYMMETRIC[corpus]])
     for g in graphs:
-        for cfg in configs:
+        for cfg in RULE_CONFIGS:
             memo, plain = solve(cfg, g), solve(cfg, g, use_memo=False)
             assert (memo.winner, memo.best_move, memo.pv) == \
                 (plain.winner, plain.best_move, plain.pv), (cfg, g.edges())
