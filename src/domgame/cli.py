@@ -237,7 +237,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (GraphError, ParseError, ConfigError, IllegalMoveError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its key, quotes and all
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

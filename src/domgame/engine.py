@@ -17,6 +17,7 @@ and never mutates its input, so undo is just keeping the old reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph, bits
 
@@ -83,6 +84,10 @@ class Move:
 
 
 PASS = Move()
+# the move of a kernel child's selection: a Move is immutable, so children
+# share one per (vertex, color) instead of building their own; the kernel
+# passes only its own vertex indices and colors, two moves per vertex
+_selection = lru_cache(maxsize=None)(Move)
 
 
 @dataclass(frozen=True)
@@ -249,8 +254,10 @@ class Rules:
             # the kernel's own value of the color, so children carry an int
             colors = () if oc not in colors else (PURPLE,) if oc == PURPLE else (BLUE,)
         out = []
-        for v in bits(verts):
-            cbit = 1 << v
+        while verts:
+            cbit = verts & -verts
+            verts ^= cbit
+            v = cbit.bit_length() - 1
             nbhd = closed[v]
             for c in colors:
                 if c == PURPLE:
@@ -376,7 +383,7 @@ class GameState:
         if self.winner is not None:
             return []
         colors = self.rules.colors[self.actor]
-        moves = [Move(v, c) for v in bits(self.uncolored_mask()) for c in colors
+        moves = [_selection(v, c) for v in bits(self.uncolored_mask()) for c in colors
                  if self.select_legal(v, c)]
         if self.rules.pass_child(*self.position()) is not None:
             moves.append(PASS)
@@ -393,7 +400,7 @@ class GameState:
         or None.  A pass never ends the game."""
         for v, c, child in self._expand_all():
             if child[6] == self.actor:
-                return Move(v, c)
+                return _selection(v, c)
         return None
 
     def apply(self, move: Move) -> "GameState":
@@ -405,7 +412,9 @@ class GameState:
                 raise IllegalMoveError(f"{self.actor} may not pass here")
             return self._successor(None, None, child)[1]
         v, c = move.vertex, move.color
-        found = self.rules.expand(*self.position(), (v, c))
+        vp, vb = self.vmask
+        dp, db = self.dom
+        found = self.rules.expand(vp, vb, dp, db, self.actor, self.selections_done, (v, c))
         if not found:
             name = COLOR_NAMES[c] if c in (PURPLE, BLUE) else repr(c)
             raise IllegalMoveError(f"{self.actor} cannot color vertex {v!r} {name}")
@@ -419,7 +428,7 @@ class GameState:
         if v is None:
             move, last = PASS, self.last_select
         else:
-            move, last = Move(v, c), (v, c, self.actor)
+            move, last = _selection(v, c), (v, c, self.actor)
             if not rules.closed[v] & ~(vp, vb)[c]:
                 raise EngineInvariantError(
                     "legal selection made its own closed neighborhood monochromatic"

@@ -46,12 +46,16 @@ included); it either certifies the strategy or returns a counterexample
 playout.  A strategy that reads the history only through ``last_select``
 (``Strategy.history_independent``) moves alike in states that agree on the
 position and ``last_select``, so the walk shares the subtree below such
-states and walks it once.  Where the opponent is to move and may not pass,
-the key drops ``last_select`` too: every child then carries the opponent's
-own selection in its place, so nothing below reads the dropped field.  The
-memo stores each subtree's longest line, so ``max_plies`` and the
-counterexample are those of a walk without the memo; only the count of
-leaves walked depends on it.
+states and walks it once.  Only the opponent's nodes are shared: a node
+where the strategy moves has a single child, an opponent node whose entry
+already shares that subtree, so the strategy is asked again at a repeated
+node of its own and its invariants are checked again.  An opponent node is
+keyed on the coloring and ``sel`` (its actor is always the opponent), plus
+``last_select`` when the opponent may pass there; without a pass every child
+carries the opponent's own selection in its place, so nothing below reads
+that field.  The memo stores each subtree's longest line, so ``max_plies``
+and the counterexample are those of a walk without the memo; only the count
+of leaves walked depends on it.
 
 Everything here is single-threaded; positions are plain values, so callers
 wanting parallelism can fan out root children across solver instances and
@@ -327,9 +331,9 @@ def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
     play on g, or produce the losing playout.
 
     The walk follows the strategy's unique move on its turns and branches on
-    all legal opponent moves (passes included).  Subtrees are shared through
-    a memo only when the strategy declares itself history-independent (see
-    the module docstring for the key).
+    all legal opponent moves (passes included).  Subtrees below opponent
+    nodes are shared through a memo only when the strategy declares itself
+    history-independent (see the module docstring for the key).
     """
     from .formats import emit_graph6
     from .strategies import NotApplicable, StrategyViolation, get_strategy
@@ -357,13 +361,15 @@ def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
             if state.winner != role:
                 raise _Failed(state)
             return 0
-        if use_memo:
+        # a strategy node has one child, whose subtree the opponent node
+        # below it shares, so only opponent nodes are memoized
+        memo_here = use_memo and state.actor != role
+        if memo_here:
             vp, vb = state.vmask
-            key = (vp, vb, state.actor, state.selections_done)
+            key = (vp, vb, state.selections_done)
             # every child of an opponent node without a pass carries the
             # opponent's own selection, so last_select is read nowhere below
-            if state.actor == role or (opponent_passes
-                                       and rules.pass_child(*state.position()) is not None):
+            if opponent_passes and rules.pass_child(*state.position()) is not None:
                 key += (state.last_select,)
             height = memo.get(key)
             if height is not None:
@@ -385,7 +391,7 @@ def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
                 if h > height:
                     height = h
         height += 1
-        if use_memo:
+        if memo_here:
             memo[key] = height
         return height
 

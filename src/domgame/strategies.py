@@ -117,8 +117,8 @@ class Strategy:
     sid = "?"
     role: str | None = DOM  # None means either seat
     # True when move and check_invariants read the history only through
-    # last_select, so a verification walk may share subtrees between states
-    # that agree on position and last_select
+    # last_select, so a verification walk may share the subtrees below
+    # opponent nodes that agree on position and last_select
     history_independent = True
 
     def prepare(self, config: GameConfig, graph: Graph, *, submap=None, seed=None):
@@ -139,15 +139,11 @@ def _require(cond: bool, message: str):
 
 
 def _every_colored_has_opposite_neighbor(state: GameState) -> bool:
-    nbr = state.graph.nbr_mask
+    # a purple vertex is not blue, so it lies in some N[b] of a blue b, that
+    # is in the blue-dominated mask, exactly when it has a blue neighbor
     vp, vb = state.vmask
-    for mask, opp in ((vp, vb), (vb, vp)):
-        while mask:
-            low = mask & -mask
-            if not nbr[low.bit_length() - 1] & opp:
-                return False
-            mask ^= low
-    return True
+    dp, db = state.dom
+    return not (vp & ~db or vb & ~dp)
 
 
 class Ons(Strategy):

@@ -274,6 +274,17 @@ def test_suite_filter_matching_nothing_fails(capsys):
     assert err.startswith("error:") and "nonesuch" in err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("suite", "--only", "nonesuch"), "error: no acceptance item id contains 'nonesuch'"),
+    (("verify", "--strategy", "nope", "--graph", "cycle:5", "--role", "dom", "--start", "sepy"),
+     "error: unknown strategy 'nope'; known: bdg-general, bdg-matching, biased-dom, dom-pass, "
+     "dom-start-safe, greedy, ons, onsp, random, sepy-cycle, sepy-subdiv"),
+], ids=["suite-only", "verify-strategy"])
+def test_unknown_name_error_line_is_unquoted(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", line + "\n")
+
+
 def test_graph_file_loading(tmp_path, capsys):
     path = tmp_path / "g.edges"
     path.write_text("2 1\n0 1\n")

@@ -6,7 +6,8 @@ passes and turn hand-over are per-vertex loops over closed neighborhoods.
 Nothing is carried from move to move but the coloring and the turn, so it
 shares no code and no masks with ``engine.Rules``.  The test walks the full
 game trees of every isolate-free graph on at most five vertices and compares
-the legal moves and the outcome of every move.
+the legal moves, the outcome of every move and the domination masks of
+every state reached.
 """
 
 import pytest
@@ -39,6 +40,10 @@ class Reference:
     def dominated(self, colors, c):
         """The vertices with a vertex colored c in their closed neighborhood."""
         return {u for u in range(self.n) if any(colors[w] == c for w in self.nbhd[u])}
+
+    def dominated_masks(self, colors):
+        """``dominated`` in purple and in blue, as vertex masks."""
+        return tuple(sum(1 << u for u in self.dominated(colors, c)) for c in (PURPLE, BLUE))
 
     def selections(self, colors, player):
         """Color an uncolored v with c when some vertex of N[v] is not yet
@@ -144,6 +149,7 @@ def test_engine_matches_reference_rules(name):
                     assert (child.position(), child.winner) == \
                         (sibling.position(), sibling.winner), (where, mv)
                     ref_pos, winner, mono = ref.after(pos, mv)
+                    assert child.dom == ref.dominated_masks(ref_pos[0]), (where, mv)
                     status = child.status
                     assert status.winner == winner, (where, mv)
                     if winner is None:

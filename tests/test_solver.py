@@ -21,6 +21,7 @@ from domgame.engine import (
 )
 from domgame.graphs import (
     automorphisms,
+    corpus,
     disjoint_union,
     enumerate_isolate_free_graphs,
     gen_complete,
@@ -503,3 +504,33 @@ def test_verify_memo_matches_the_memo_free_walk(strategy, rule_sets, top):
     assert compared > 0
     if strategy in ("greedy", "random"):
         assert failures > 0
+
+
+# every rule set with one selection a turn or Dom's two; a (2:1) game is
+# disjoint, and Dom holds no pass right in it
+_EVERY_RULE_SET = [
+    GameConfig(variant, starter, d=d, pass_rights=rights)
+    for variant, starter, d, rights in itertools.product(
+        ("ddg", "bdg"), (DOM, SEPY), (1, 2), ("none", DOM, SEPY))
+    if d == 1 or (variant == "ddg" and rights != DOM)
+]
+
+
+def test_every_certification_agrees_with_the_solver():
+    # a certified strategy wins against every reply, so the solver must
+    # name Dom the winner of the same game
+    certified = 0
+    for g in corpus("isolatefree:6"):
+        for cfg in _EVERY_RULE_SET:
+            winner = None
+            for sid in ("ons", "onsp", "dom-start-safe", "dom-pass", "biased-dom",
+                        "bdg-matching", "bdg-general"):
+                try:
+                    rep = verify_strategy(sid, DOM, cfg, g)
+                except NotApplicable:
+                    continue
+                if rep.verified:
+                    winner = winner or solve(cfg, g).winner
+                    assert winner == DOM, (sid, cfg, g.edges())
+                    certified += 1
+    assert len(_EVERY_RULE_SET) == 16 and certified == 3424

@@ -4,6 +4,7 @@ the acceptance battery."""
 import random
 
 import pytest
+from conftest import RULE_CONFIGS
 
 from domgame.cli import main
 from domgame.engine import (
@@ -19,6 +20,7 @@ from domgame.engine import (
 from domgame.graphs import (
     Graph,
     disjoint_union,
+    enumerate_isolate_free_graphs,
     gen_complete,
     gen_cycle,
     gen_path,
@@ -30,6 +32,7 @@ from domgame.strategies import (
     BdgPlan,
     NotApplicable,
     StrategyViolation,
+    _every_colored_has_opposite_neighbor,
     get_strategy,
 )
 
@@ -94,6 +97,37 @@ def test_ons_requires_sepy_anchor():
     st = new_game(ddg(SEPY), gen_cycle(4))
     with pytest.raises(StrategyViolation):
         move_of("ons", st)
+
+
+def _opposite_neighbor_by_adjacency(state):
+    """The opposite-neighbor invariant from its definition: every colored
+    vertex has a neighbor of the other color."""
+    vp, vb = state.vmask
+    nbr = state.graph.nbr_mask
+    return all(nbr[v] & (vb if vp >> v & 1 else vp)
+               for v in range(state.graph.n) if (vp | vb) >> v & 1)
+
+
+def test_opposite_neighbor_invariant_matches_adjacency():
+    # every coloring reachable in the disjoint game, passes and long turns
+    # included, on every isolate-free graph with n <= 5
+    configs = [cfg for cfg in RULE_CONFIGS if cfg.variant == "ddg"]
+    counts = {True: 0, False: 0}
+    for n in range(2, 6):
+        for g in enumerate_isolate_free_graphs(n):
+            for cfg in configs:
+                stack, seen = [new_game(cfg, g)], set()
+                while stack:
+                    state = stack.pop()
+                    if state.vmask in seen:
+                        continue
+                    seen.add(state.vmask)
+                    held = _opposite_neighbor_by_adjacency(state)
+                    assert _every_colored_has_opposite_neighbor(state) == held, \
+                        (cfg, g.edges(), state.vmask)
+                    counts[held] += 1
+                    stack.extend(child for _mv, child in state.children())
+    assert counts[True] > 0 and counts[False] > 0
 
 
 def test_onsp_after_pass_answers_own_vertex():
