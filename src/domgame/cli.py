@@ -67,6 +67,9 @@ def _load_graph(spec: str) -> tuple[Graph, SubdivisionMap | None]:
         if all(part.isdigit() for part in head):
             return parse_edge_list(text), None
         return parse_graph6(text.strip().splitlines()[0]), None
+    if ":" in spec:
+        # ':' lies outside the graph6 alphabet: a mistyped generator spec
+        raise GraphError(f"unknown generator spec {spec!r}")
     return parse_graph6(spec), None
 
 

@@ -84,10 +84,11 @@ class Move:
 
 
 PASS = Move()
-# the move of a kernel child's selection: a Move is immutable, so children
-# share one per (vertex, color) instead of building their own; the kernel
-# passes only its own vertex indices and colors, two moves per vertex
-_selection = lru_cache(maxsize=None)(Move)
+# the move that colors vertex v with color c, shared: a Move is immutable, so
+# kernel children and strategies take one per (v, c) instead of building
+# their own.  Callers pass only vertex indices of a graph and the two
+# colors, so it holds at most two moves per vertex index.
+selection = lru_cache(maxsize=None)(Move)
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,9 @@ class Rules:
     player to the colors he may use (both in the disjoint game; Dom purple
     and Sepy blue in the bicolored one), and ``may_pass`` to whether he
     holds a pass right (Dom with pass rights "dom"; Sepy with pass rights
-    "sepy", and in every biased game).
+    "sepy", and in every biased game).  ``turn`` maps each player to the
+    data of his turn, (the other player, his selections per turn, his
+    colors), so that ``expand`` sets up with one lookup.
     """
 
     def __init__(self, config: GameConfig, graph: Graph):
@@ -186,9 +189,10 @@ class Rules:
         self.ddg = config.variant == DDG
         self.colors = ({DOM: (PURPLE, BLUE), SEPY: (PURPLE, BLUE)} if self.ddg
                        else {DOM: (PURPLE,), SEPY: (BLUE,)})
-        self.caps = {DOM: config.d, SEPY: config.s}
         self.may_pass = {DOM: config.pass_rights == DOM,
                          SEPY: config.pass_rights == SEPY or config.biased}
+        self.turn = {DOM: (SEPY, config.d, self.colors[DOM]),
+                     SEPY: (DOM, config.s, self.colors[SEPY])}
 
     def is_vertex(self, v) -> bool:
         return type(v) is int and 0 <= v < self.graph.n
@@ -243,14 +247,13 @@ class Rules:
         closed = self.closed
         closed_verts = self.closed_verts
         ddg = self.ddg
-        other = other_player(actor)
+        other, cap, colors = self.turn[actor]
         nsel = sel + 1
-        may_continue = nsel < self.caps[actor]
-        colors = self.colors[actor]
+        may_continue = nsel < cap
         verts = full & ~(vp | vb)
         if only is not None:
             ov, oc = only
-            verts &= 1 << ov if self.is_vertex(ov) else 0
+            verts &= 1 << ov if type(ov) is int and 0 <= ov < self.graph.n else 0
             # the kernel's own value of the color, so children carry an int
             colors = () if oc not in colors else (PURPLE,) if oc == PURPLE else (BLUE,)
         out = []
@@ -383,7 +386,7 @@ class GameState:
         if self.winner is not None:
             return []
         colors = self.rules.colors[self.actor]
-        moves = [_selection(v, c) for v in bits(self.uncolored_mask()) for c in colors
+        moves = [selection(v, c) for v in bits(self.uncolored_mask()) for c in colors
                  if self.select_legal(v, c)]
         if self.rules.pass_child(*self.position()) is not None:
             moves.append(PASS)
@@ -400,10 +403,16 @@ class GameState:
         or None.  A pass never ends the game."""
         for v, c, child in self._expand_all():
             if child[6] == self.actor:
-                return _selection(v, c)
+                return selection(v, c)
         return None
 
     def apply(self, move: Move) -> "GameState":
+        """The state after move, or IllegalMoveError.  A selection is
+        checked and played by ``Rules.expand`` restricted to it, so one rule
+        both lists children and checks moves.  The successor then passes the
+        engine's invariant checks; among them, a disjoint-game turn handed
+        over must leave the new actor a move, which one mask test proves for
+        almost every turn (see ``_successor``)."""
         if self.winner is not None:
             raise IllegalMoveError("game is over")
         if move.is_pass:
@@ -422,20 +431,28 @@ class GameState:
 
     def _successor(self, v, c, child) -> tuple[Move, "GameState"]:
         """The move and state of a kernel child, after the engine's own
-        invariant checks (the solver's search runs none)."""
+        invariant checks (the solver's search runs none).
+
+        One of them is that a disjoint-game turn handed over leaves the new
+        actor a move.  An uncolored vertex that is not dominated in both
+        colors is itself a legal selection in the color it lacks, since it
+        lies in its own closed neighborhood, so one mask test proves almost
+        every such turn feasible; only the rest ask ``has_select`` and
+        ``pass_child``."""
         rules = self.rules
         vp, vb, dp, db, actor, sel, winner = child
         if v is None:
             move, last = PASS, self.last_select
         else:
-            move, last = _selection(v, c), (v, c, self.actor)
-            if not rules.closed[v] & ~(vp, vb)[c]:
+            move, last = selection(v, c), (v, c, self.actor)
+            if not rules.closed[v] & ~(vb if c else vp):
                 raise EngineInvariantError(
                     "legal selection made its own closed neighborhood monochromatic"
                 )
         if winner is None:
             # a disjoint-game turn just changed hands
-            if (rules.ddg and sel == 0 and not rules.has_select(vp, vb, dp, db, actor)
+            if (rules.ddg and sel == 0 and not rules.full & ~(vp | vb) & ~(dp & db)
+                    and not rules.has_select(vp, vb, dp, db, actor)
                     and rules.pass_child(vp, vb, dp, db, actor, sel) is None):
                 raise EngineInvariantError(
                     "ongoing disjoint-game state without a feasible move"

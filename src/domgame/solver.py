@@ -43,19 +43,21 @@ computes no keys and no automorphisms and serves as the independent oracle.
 ``verify_strategy`` walks the full game tree of ``GameState`` with one side
 pinned to a strategy and the other ranging over every legal move (passes
 included); it either certifies the strategy or returns a counterexample
-playout.  A strategy that reads the history only through ``last_select``
-(``Strategy.history_independent``) moves alike in states that agree on the
-position and ``last_select``, so the walk shares the subtree below such
-states and walks it once.  Only the opponent's nodes are shared: a node
-where the strategy moves has a single child, an opponent node whose entry
-already shares that subtree, so the strategy is asked again at a repeated
-node of its own and its invariants are checked again.  An opponent node is
-keyed on the coloring and ``sel`` (its actor is always the opponent), plus
-``last_select`` when the opponent may pass there; without a pass every child
-carries the opponent's own selection in its place, so nothing below reads
-that field.  The memo stores each subtree's longest line, so ``max_plies``
-and the counterexample are those of a walk without the memo; only the count
-of leaves walked depends on it.
+playout.  It recurses only into ongoing states: a game end is settled in
+its parent's loop, which counts it, reads its ply count (carried down the
+walk) and checks its winner.  A strategy that reads the history only
+through ``last_select`` (``Strategy.history_independent``) moves alike in
+states that agree on the position and ``last_select``, so the walk shares
+the subtree below such states and walks it once.  Only the opponent's
+nodes are shared: a node where the strategy moves has a single child, an
+opponent node whose entry already shares that subtree, so the strategy is
+asked again at a repeated node of its own and its invariants are checked
+again.  An opponent node is keyed on the coloring and ``sel`` (its actor is
+always the opponent), plus ``last_select`` when the opponent may pass
+there; without a pass every child carries the opponent's own selection in
+its place, so nothing below reads that field.  The memo stores each
+subtree's longest line, so ``max_plies`` and the counterexample are those
+of a walk without the memo; only the count of leaves walked depends on it.
 
 Everything here is single-threaded; positions are plain values, so callers
 wanting parallelism can fan out root children across solver instances and
@@ -325,6 +327,14 @@ def _principal_variation(solver: _Solver, pos, winner: str, limit: int = 200) ->
     return pv
 
 
+class _Failed(Exception):
+    """A line of play the strategy loses, ending in ``state``; it unwinds the
+    verification walk."""
+
+    def __init__(self, state: GameState):
+        self.state = state
+
+
 def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
                     submap=None, seed=None) -> VerificationReport:
     """Certify that `strategy` playing `role` beats every line of opponent
@@ -347,49 +357,53 @@ def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
     use_memo = strat.history_independent
     opponent_passes = rules.may_pass[other_player(role)]
     memo: dict = {}  # key -> the most plies from a node of that key to the end
-    stats = {"leaves": 0, "max_plies": 0}
+    leaves = max_plies = 0
 
-    class _Failed(Exception):
-        def __init__(self, state):
-            self.state = state
-
-    def walk(state: GameState) -> int:
-        """The most plies from state to the end of any line below it."""
-        if state.winner is not None:
-            stats["leaves"] += 1
-            stats["max_plies"] = max(stats["max_plies"], state.ply())
-            if state.winner != role:
-                raise _Failed(state)
-            return 0
+    def walk(state: GameState, ply: int) -> int:
+        """The most plies from state, an ongoing state after ply plies, to
+        the end of any line below it."""
+        nonlocal leaves, max_plies
         # a strategy node has one child, whose subtree the opponent node
         # below it shares, so only opponent nodes are memoized
         memo_here = use_memo and state.actor != role
         if memo_here:
             vp, vb = state.vmask
-            key = (vp, vb, state.selections_done)
+            sel = state.selections_done
+            key = (vp, vb, sel)
             # every child of an opponent node without a pass carries the
             # opponent's own selection, so last_select is read nowhere below
-            if opponent_passes and rules.pass_child(*state.position()) is not None:
+            if opponent_passes and \
+                    rules.pass_child(vp, vb, *state.dom, state.actor, sel) is not None:
                 key += (state.last_select,)
             height = memo.get(key)
             if height is not None:
                 # the longest line of the skipped subtree, as if walked again
-                stats["max_plies"] = max(stats["max_plies"], state.ply() + height)
+                if ply + height > max_plies:
+                    max_plies = ply + height
                 return height
         if state.actor == role:
             try:
-                mv = strat.move(state, ctx)
-                nxt = state.apply(mv)
+                nxt = state.apply(strat.move(state, ctx))
             except IllegalMoveError as exc:
                 raise StrategyViolation(str(exc), state) from exc
             strat.check_invariants(nxt, ctx)
-            height = walk(nxt)
+            children = ((None, nxt),)
         else:
-            height = 0
-            for _mv, child in state.children():
-                h = walk(child)
+            children = state.children()
+        ply += 1
+        height = 0
+        for _mv, child in children:
+            if child.winner is None:
+                h = walk(child, ply)
                 if h > height:
                     height = h
+            else:
+                # a game end, settled here rather than in a call of its own
+                leaves += 1
+                if ply > max_plies:
+                    max_plies = ply
+                if child.winner != role:
+                    raise _Failed(child)
         height += 1
         if memo_here:
             memo[key] = height
@@ -398,7 +412,7 @@ def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
     verified = True
     counterexample = None
     try:
-        walk(start)
+        walk(start, 0)
     except _Failed as fail:
         verified = False
         counterexample = trace_lines(fail.state)
@@ -412,6 +426,6 @@ def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
         graph6=emit_graph6(g),
         verified=verified,
         counterexample=counterexample,
-        branches=stats["leaves"],
-        max_plies=stats["max_plies"],
+        branches=leaves,
+        max_plies=max_plies,
     )

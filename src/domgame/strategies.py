@@ -25,6 +25,7 @@ from .engine import (
     GameState,
     Move,
     opposite,
+    selection,
 )
 from .graphs import Graph, SubdivisionMap, bits, induced_subgraph, is_connected, subdivide3
 from .matching import MatchingStructure, matching_plan
@@ -56,26 +57,33 @@ def _ons_search(state: GameState, anchor_v: int, anchor_c: int, region: int | No
     g = state.graph
     reg = g.full_mask if region is None else region
 
-    # rule 1: an uncolored neighbor of the anchor takes the opposite color
+    # rule 1: the least uncolored neighbor of the anchor that may take the
+    # opposite color, that is whose closed neighborhood is not yet dominated
+    # in it (the game is disjoint, so the actor holds both colors)
     want = opposite(anchor_c)
-    for u in g.adj[anchor_v]:
-        if state.select_legal(u, want):
-            return Move(u, want)
+    vp, vb = state.vmask
+    free = g.nbr_mask[anchor_v] & ~(vp | vb)
+    undom = ~state.dom[want]
+    while free:
+        low = free & -free
+        u = low.bit_length() - 1
+        if g.closed_mask[u] & undom:
+            return selection(u, want)
+        free ^= low
 
     # rule 2a: frontier between the dominated region and the untouched one
     dom_any = (state.dom[PURPLE] | state.dom[BLUE]) & reg
     undom = reg & ~dom_any & g.full_mask
     uncolored = state.uncolored_mask()
     if undom:
-        vp, vb = state.vmask
         for u in bits(uncolored & reg & dom_any):
             if not g.nbr_mask[u] & undom:
                 continue
             # move color is the opposite of a colored neighbor; prefer purple
             if g.nbr_mask[u] & vb:
-                return Move(u, PURPLE)
+                return selection(u, PURPLE)
             if g.nbr_mask[u] & vp:
-                return Move(u, BLUE)
+                return selection(u, BLUE)
 
     # rule 2b: a vertex dominated in exactly one color gets (or passes on)
     # the missing color
@@ -85,10 +93,10 @@ def _ons_search(state: GameState, anchor_v: int, anchor_c: int, region: int | No
         have = PURPLE if state.dom[PURPLE] >> u & 1 else BLUE
         want = opposite(have)
         if uncolored >> u & 1:
-            return Move(u, want)
+            return selection(u, want)
         for w in g.adj[u]:
             if uncolored >> w & 1:
-                return Move(w, want)
+                return selection(w, want)
         raise StrategyViolation(
             f"vertex {u} lacks an uncolored neighbor in an ongoing game", state
         )
@@ -215,7 +223,7 @@ class DomStartSafe(Strategy):
 
     def move(self, state, ctx):
         if not state.history:
-            return Move(ctx, PURPLE)
+            return selection(ctx, PURPLE)
         return _answer(state)
 
 
@@ -231,7 +239,7 @@ def _dom_win_opening(graph: Graph) -> Move | None:
         res = solve(cfg, sub)
         if res.winner == DOM:
             mv = res.best_move
-            return Move(old_ids[mv.vertex], mv.color)
+            return selection(old_ids[mv.vertex], mv.color)
     return None
 
 
@@ -327,7 +335,7 @@ def _completes_touched(state: GameState, mv: Move) -> bool:
 
 
 def _opener(comp_mask: int) -> Move:
-    return Move((comp_mask & -comp_mask).bit_length() - 1, PURPLE)
+    return selection((comp_mask & -comp_mask).bit_length() - 1, PURPLE)
 
 
 # --- bicolored-game strategies ----------------------------------------------
@@ -364,7 +372,7 @@ def _bdg_partner_reply(state: GameState, plan: BdgPlan) -> Move | None:
         return None
     p = plan.partner[v]
     if p != -1 and state.select_legal(p, PURPLE):
-        return Move(p, PURPLE)
+        return selection(p, PURPLE)
     return None
 
 
@@ -391,12 +399,12 @@ class BdgMatching(Strategy):
             if p < 0 or colored >> p & 1:
                 continue
             if state.select_legal(v, PURPLE):
-                return Move(v, PURPLE)
+                return selection(v, PURPLE)
         # partner of an earlier Sepy vertex; keeps one-vertex-per-edge intact
         for v in bits(state.uncolored_mask()):
             p = ctx.partner[v]
             if p >= 0 and state.vmask[BLUE] >> p & 1 and state.select_legal(v, PURPLE):
-                return Move(v, PURPLE)
+                return selection(v, PURPLE)
         raise StrategyViolation("no matching-play move available", state)
 
     def check_invariants(self, state, ctx):
@@ -443,10 +451,10 @@ class BdgGeneral(Strategy):
                 continue
             if vb & ~(state.dom[PURPLE] | g.closed_mask[v]):
                 continue  # every blue vertex must end up purple-dominated
-            return Move(v, PURPLE)
+            return selection(v, PURPLE)
         for v in bits(state.uncolored_mask() & ctx.external_mask):
             if state.select_legal(v, PURPLE):
-                return Move(v, PURPLE)
+                return selection(v, PURPLE)
         raise StrategyViolation("no rule-compliant bicolored move available", state)
 
     def check_invariants(self, state, ctx):
@@ -491,14 +499,14 @@ class SepyCycle(Strategy):
         v0, color = _dom_opening(state, "cycle play")  # Sepy echoes Dom's color
         near, far = adj[v0]
         if state.ply() == 1:  # nobody may pass, so every ply is a selection
-            return Move(near, color)
+            return selection(near, color)
         if state.ply() == 3:
             walk = [v0, near]  # positions 1, 2, ...
             while len(walk) < 5:
                 a, b = adj[walk[-1]]
                 walk.append(b if a == walk[-2] else a)
             dom_second = state.history[2][1].vertex
-            return Move(far if dom_second in walk[2:] else walk[2], color)
+            return selection(far if dom_second in walk[2:] else walk[2], color)
         raise StrategyViolation("cycle play should have won by its second move", state)
 
 
@@ -530,12 +538,12 @@ class SepySubdiv(Strategy):
         if ctx.is_sub_vertex(v0):
             inner = ctx.inner_partner(v0)
             if state.select_legal(inner, c0):
-                return Move(inner, c0)
+                return selection(inner, c0)
             raise StrategyViolation("double-threat reply unavailable", state)
         candidates = sorted(near for near, _far, _opp in ctx.paths_at(v0))
         for near in candidates:
             if state.select_legal(near, c0):
-                return Move(near, c0)
+                return selection(near, c0)
         raise StrategyViolation("no open threat on the opened base vertex", state)
 
 

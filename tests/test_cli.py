@@ -285,6 +285,16 @@ def test_unknown_name_error_line_is_unquoted(capsys, argv, line):
     assert (code, out, err) == (1, "", line + "\n")
 
 
+@pytest.mark.parametrize("spec", ["star:5", "petersen:3"])
+def test_unknown_generator_spec_is_named(capsys, tmp_path, monkeypatch, spec):
+    code, out, err = run(capsys, "gen", "--graph", spec)
+    assert (code, out, err) == (1, "", f"error: unknown generator spec '{spec}'\n")
+    # a file of that name is read, not taken for a spec
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / spec).write_text("A_\n")
+    assert run(capsys, "gen", "--graph", spec) == (0, "A_\n", "")
+
+
 def test_graph_file_loading(tmp_path, capsys):
     path = tmp_path / "g.edges"
     path.write_text("2 1\n0 1\n")

@@ -16,6 +16,7 @@ from domgame.engine import (
     SEPY,
     ConfigError,
     GameConfig,
+    GameState,
     IllegalMoveError,
     Move,
     new_game,
@@ -116,9 +117,10 @@ def test_legal_moves_ordering():
     assert moves == [Move(0, PURPLE), Move(0, BLUE), Move(1, PURPLE), Move(1, BLUE)]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_legal_moves_match_the_kernel_children(n):
-    # every state reachable on the isolate-free graphs of n vertices
+def _reachable(n):
+    """(cfg, g, state, children) for every distinct ongoing state reachable on
+    the isolate-free graphs of n vertices under every config of
+    ``RULE_CONFIGS``."""
     for g in enumerate_isolate_free_graphs(n):
         for cfg in RULE_CONFIGS:
             seen = set()
@@ -128,14 +130,45 @@ def test_legal_moves_match_the_kernel_children(n):
                 if state.position() in seen:
                     continue
                 seen.add(state.position())
-                kernel = [PASS if v is None else Move(v, c)
-                          for v, c, _child in state.rules.expand(*state.position())]
-                assert state.legal_moves() == kernel, (cfg, g.edges(), state.history)
-                for _mv, child in state.children():
-                    if child.winner is None:
-                        stack.append(child)
-                    else:
-                        assert child.legal_moves() == []
+                children = state.children()
+                yield cfg, g, state, children
+                stack.extend(child for _mv, child in children if child.winner is None)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_legal_moves_match_the_kernel_children(n):
+    for cfg, g, state, children in _reachable(n):
+        kernel = [PASS if v is None else Move(v, c)
+                  for v, c, _child in state.rules.expand(*state.position())]
+        assert state.legal_moves() == kernel, (cfg, g.edges(), state.history)
+        for _mv, child in children:
+            if child.winner is not None:
+                assert child.legal_moves() == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_apply_matches_legal_moves_and_children(n):
+    # apply plays a selection through the kernel restricted to it; the full
+    # expansion is its oracle.  Besides the pass and every vertex with every
+    # color, apply is offered a value that is not a color, and vertices out
+    # of range or not an int.
+    offered = [PASS] + [Move(v, c) for v in range(n) for c in (PURPLE, BLUE, 2)] + \
+        [Move(v, c) for v in (-1, n, 1.0, True) for c in (PURPLE, BLUE)]
+    slots = GameState.__slots__
+    for cfg, g, state, children in _reachable(n):
+        legal = set(state.legal_moves())
+        siblings = dict(children)
+        for mv in offered:
+            is_legal = mv in legal and (mv.is_pass or type(mv.vertex) is int)
+            try:
+                child = state.apply(mv)
+            except IllegalMoveError:
+                assert not is_legal, (cfg, g.edges(), state.history, mv)
+                continue
+            assert is_legal, (cfg, g.edges(), state.history, mv)
+            sibling = siblings[mv]
+            assert [getattr(child, s) for s in slots] == [getattr(sibling, s) for s in slots], \
+                (cfg, g.edges(), state.history, mv)
 
 
 def test_bdg_binds_colors():

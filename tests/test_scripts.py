@@ -29,3 +29,15 @@ def test_survey_cycles_reaches_the_vertex_cap(tmp_path):
     # Dom-start flips to Sepy from C8 on; Sepy-start stays Dom's throughout
     assert all(r[1] == ("sepy" if int(r[0]) >= 8 else "dom") for r in rows)
     assert all(r[2] == "dom" for r in rows)
+
+
+def test_answer_hashes_repeat(tmp_path):
+    # isolate-free graphs n <= 4: 542 certifications that apply, and the 10
+    # graphs under 12 configs
+    runs = [subprocess.run([sys.executable, str(SCRIPTS / "answer_hashes.py"), "4"],
+                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
+            for _ in range(2)]
+    assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
+    lines = [line.split() for line in runs[0].stdout.splitlines()]
+    assert [(what, count) for what, count, _digest in lines] == [("verify", "542"), ("solve", "120")]
+    assert runs[1].stdout == runs[0].stdout
