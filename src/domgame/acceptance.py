@@ -26,6 +26,7 @@ from .formats import emit_graph6, parse_graph6
 from .graphs import (
     Graph,
     bits,
+    corpus,
     disjoint_union,
     enumerate_connected_graphs,
     enumerate_graphs,
@@ -34,13 +35,13 @@ from .graphs import (
     gen_cycle,
     gen_path,
     gen_petersen,
+    nested_pair,
     random_isolate_free,
     relabel,
     subdivide3,
 )
 from .matching import maximum_matching
 from .solver import _Solver, solve, verify_strategy
-from .strategies import _safe_first_vertex
 
 
 def _ddg(starter, pass_rights="none", d=1, s=1) -> GameConfig:
@@ -87,26 +88,16 @@ def crit_cycles() -> str:
 
 # -- 2 / 3 ---------------------------------------------------------------------
 
-def _connected_corpus():
-    for n in range(2, 7):
-        yield from enumerate_connected_graphs(n)
-
-
-def _isolate_free_corpus():
-    for n in range(2, 7):
-        yield from enumerate_isolate_free_graphs(n)
-
-
 def crit_ons_connected() -> str:
     """Sepy-start on a connected graph: Dom wins, and opposite-neighbor play
     is a certified winning strategy, over the whole n <= 6 corpus."""
-    count = _certified("ons", DOM, _ddg(SEPY), _connected_corpus())
+    count = _certified("ons", DOM, _ddg(SEPY), corpus("connected:6"))
     return f"{count} connected graphs: solver Dom-win and ons certified"
 
 
 def crit_onsp_pass() -> str:
     """Same corpus with Sepy allowed to pass (never in the first move)."""
-    count = _certified("onsp", DOM, _ddg(SEPY, pass_rights=SEPY), _connected_corpus())
+    count = _certified("onsp", DOM, _ddg(SEPY, pass_rights=SEPY), corpus("connected:6"))
     return f"{count} connected graphs with Sepy passes: solver Dom-win and onsp certified"
 
 
@@ -153,7 +144,7 @@ def crit_safe_start() -> str:
     such a pair)."""
     fixtures = [gen_complete(n) for n in range(2, 7)]
     fixtures += [gen_path(n) for n in range(2, 8)]
-    bulk = [g for g in _connected_corpus() if _safe_first_vertex(g) is not None]
+    bulk = [g for g in corpus("connected:6") if nested_pair(g) is not None]
     count = _certified("dom-start-safe", DOM, _ddg(DOM), fixtures + bulk)
     return f"{count} graphs with nested neighborhoods: certified and solver-agreed"
 
@@ -180,7 +171,7 @@ def crit_biased_two_one() -> str:
     """Two selections per Dom turn beat every isolate-free graph: strategy
     certified on n <= 6 (both starts), solver agreement there and on larger
     fixtures up to n = 10."""
-    count = sum(_certified("biased-dom", DOM, _ddg(start, d=2, s=1), _isolate_free_corpus())
+    count = sum(_certified("biased-dom", DOM, _ddg(start, d=2, s=1), corpus("isolatefree:6"))
                 for start in (DOM, SEPY))
     fixtures = [
         gen_cycle(7), gen_cycle(8), gen_cycle(10), gen_path(10),
@@ -202,8 +193,7 @@ def crit_biased_two_one() -> str:
 def crit_bdg_perfect_matching() -> str:
     """Matching play wins the bicolored game on every isolate-free graph with
     a perfect matching, n in {2, 4, 6}, both starts."""
-    graphs = [g for n in (2, 4, 6) for g in enumerate_isolate_free_graphs(n)
-              if 2 * len(maximum_matching(g).pairs) == n]
+    graphs = corpus("perfectmatching:6")
     count = sum(_certified("bdg-matching", DOM, _bdg(start), graphs, solved=False)
                 for start in (DOM, SEPY))
     return f"{count} perfect-matching cases certified"
@@ -213,7 +203,7 @@ def crit_bdg_general() -> str:
     """The matching-based rules win the bicolored game on every isolate-free
     graph: certified on n <= 6 both starts, solver agreement there and on 100
     seeded random graphs up to n = 10."""
-    count = sum(_certified("bdg-general", DOM, _bdg(start), _isolate_free_corpus())
+    count = sum(_certified("bdg-general", DOM, _bdg(start), corpus("isolatefree:6"))
                 for start in (DOM, SEPY))
     rng = random.Random(20260810)
     for i in range(100):

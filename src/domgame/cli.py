@@ -39,7 +39,7 @@ from .formats import (
 )
 from .graphs import Graph, GraphError, SubdivisionMap, corpus
 from .solver import ResourceLimitError, solve, verify_strategy
-from .strategies import NotApplicable, StrategyViolation, get_strategy, strategy_ids
+from .strategies import NotApplicable, StrategyViolation, seat, strategy_ids
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -162,10 +162,7 @@ def _seat_mover(name: str, role: str, config, g, submap, seed):
         return _human_move
     if name == "solver":
         return lambda st: solve(config, g, st).best_move
-    strat = get_strategy(name)
-    if strat.role is not None and strat.role != role:
-        raise NotApplicable(f"strategy {strat.sid} plays {strat.role}, not {role}")
-    ctx = strat.prepare(config, g, submap=submap, seed=seed)
+    strat, ctx = seat(name, role, config, g, submap=submap, seed=seed)
     return lambda st: strat.move(st, ctx)
 
 

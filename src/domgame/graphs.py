@@ -125,6 +125,15 @@ def is_connected(g: Graph) -> bool:
     return len(g.component_masks()) <= 1
 
 
+def nested_pair(g: Graph) -> int | None:
+    """Least v having some u != v with N[u] contained in N[v], or None.
+    Coloring such a v first makes N[v] permanently bichromatic."""
+    for v, cv in enumerate(g.closed_mask):
+        if any(u != v and cu & ~cv == 0 for u, cu in enumerate(g.closed_mask)):
+            return v
+    return None
+
+
 def gen_cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"cycle needs at least 3 vertices, got {n}")

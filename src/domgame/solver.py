@@ -346,12 +346,9 @@ def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
     history-independent (see the module docstring for the key).
     """
     from .formats import emit_graph6
-    from .strategies import NotApplicable, StrategyViolation, get_strategy
+    from .strategies import StrategyViolation, seat
 
-    strat = get_strategy(strategy) if isinstance(strategy, str) else strategy
-    if strat.role is not None and strat.role != role:
-        raise NotApplicable(f"strategy {strat.sid} plays {strat.role}, not {role}")
-    ctx = strat.prepare(config, g, submap=submap, seed=seed)
+    strat, ctx = seat(strategy, role, config, g, submap=submap, seed=seed)
     start = new_game(config, g)
     rules = start.rules
     use_memo = strat.history_independent

@@ -27,7 +27,7 @@ from .engine import (
     opposite,
     selection,
 )
-from .graphs import Graph, SubdivisionMap, bits, induced_subgraph, is_connected, subdivide3
+from .graphs import Graph, SubdivisionMap, bits, induced_subgraph, is_connected, nested_pair, subdivide3
 from .matching import MatchingStructure, matching_plan
 
 
@@ -194,17 +194,6 @@ class Onsp(Ons):
         return None
 
 
-def _safe_first_vertex(graph: Graph) -> int | None:
-    """Least v having some u != v with N[u] contained in N[v]; coloring v
-    makes N[v] permanently bichromatic."""
-    for v in range(graph.n):
-        cv = graph.closed_mask[v]
-        for u in range(graph.n):
-            if u != v and graph.closed_mask[u] & ~cv == 0:
-                return v
-    return None
-
-
 class DomStartSafe(Strategy):
     """Dom opens on a vertex whose closed neighborhood contains another one,
     then switches to opposite-neighbor play."""
@@ -217,7 +206,7 @@ class DomStartSafe(Strategy):
         _require(not config.biased, "safe-start play assumes one selection per turn")
         _require(config.starter == DOM, "safe-start play assumes Dom starts")
         _require(is_connected(graph), "safe-start play assumes a connected graph")
-        v = _safe_first_vertex(graph)
+        v = nested_pair(graph)
         _require(v is not None, "no pair of nested closed neighborhoods")
         return v
 
@@ -611,3 +600,12 @@ def get_strategy(sid: str) -> Strategy:
     if sid not in _REGISTRY:
         raise KeyError(f"unknown strategy {sid!r}; known: {', '.join(strategy_ids())}")
     return _REGISTRY[sid]()
+
+
+def seat(strategy, role: str, config: GameConfig, graph: Graph, *, submap=None, seed=None):
+    """Seat a strategy (an id or an instance) as role on this game: refuse a
+    strategy made for the other seat, then prepare it.  Returns the strategy
+    and its per-game context."""
+    strat = get_strategy(strategy) if isinstance(strategy, str) else strategy
+    _require(strat.role in (None, role), f"strategy {strat.sid} plays {strat.role}, not {role}")
+    return strat, strat.prepare(config, graph, submap=submap, seed=seed)

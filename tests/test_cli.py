@@ -154,6 +154,16 @@ def test_verify_not_applicable_exit_code(capsys):
     assert code == 3 and "not applicable" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--strategy", "ons", "--role", "sepy"),
+    ("play", "--dom", "random", "--sepy", "ons"),
+])
+def test_strategy_in_the_wrong_seat_is_not_applicable(capsys, argv):
+    code, out, err = run(capsys, *argv, "--graph", "cycle:5", "--start", "sepy")
+    assert code == 3 and out == ""
+    assert err == "not applicable: strategy ons plays dom, not sepy\n"
+
+
 def test_verify_failing_strategy_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "--strategy", "greedy", "--role", "dom",
                        "--graph", "cycle:8", "--start", "dom")

@@ -24,6 +24,7 @@ from domgame.graphs import (
     gen_petersen,
     graph_from_canonical,
     is_connected,
+    nested_pair,
     relabel,
     subdivide3,
 )
@@ -105,6 +106,28 @@ def test_disjoint_union_relabels():
     g = disjoint_union(gen_cycle(4), gen_cycle(8))
     assert g.n == 12 and g.m == 12
     assert (4, 5) in g.edges()
+
+
+def _nested_pair_by_sets(g):
+    closed = [set(g.adj[v]) | {v} for v in range(g.n)]
+    for v in range(g.n):
+        if any(u != v and closed[u] <= closed[v] for u in range(g.n)):
+            return v
+    return None
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_nested_pair_matches_a_set_definition(n):
+    # every graph, disconnected ones included
+    for g in enumerate_graphs(n):
+        assert nested_pair(g) == _nested_pair_by_sets(g)
+
+
+def test_nested_pair_examples():
+    assert nested_pair(gen_path(3)) == 1
+    assert nested_pair(gen_complete(3)) == 0
+    assert nested_pair(gen_cycle(5)) is None
+    assert nested_pair(Graph(1)) is None
 
 
 def test_petersen_shape():

@@ -1,4 +1,5 @@
-"""Every module-level import is read somewhere in its module.
+"""Every module-level import is read somewhere in its module, and the
+scripts import only public names from ``domgame``.
 
 ``__init__.py`` files are skipped, because their imports are re-exports.
 """
@@ -13,6 +14,7 @@ MODULES = sorted(
     path for top in ("src/domgame", "tests", "scripts")
     for path in (ROOT / top).rglob("*.py") if path.name != "__init__.py"
 )
+SCRIPTS = sorted((ROOT / "scripts").rglob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -27,6 +29,24 @@ def _unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in read]
 
 
+def _private_domgame_imports(source: str) -> list[str]:
+    """The underscore-prefixed names, modules included, that any import in
+    source takes from ``domgame``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            imports = [(node.module, [alias.name for alias in node.names])]
+        elif isinstance(node, ast.Import):
+            imports = [(alias.name, []) for alias in node.names]
+        else:
+            continue
+        for module, names in imports:
+            top, *parts = module.split(".")
+            if top == "domgame":
+                found += [name for name in parts + names if name.startswith("_")]
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
@@ -35,3 +55,17 @@ def test_no_unused_module_imports(path):
 def test_unused_import_check_has_teeth():
     assert _unused_imports("import os\nfrom a import b, c as d\nprint(b)\n") == ["os", "d"]
     assert _unused_imports("from __future__ import annotations\nimport os.path\nos\n") == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[str(p.relative_to(ROOT)) for p in SCRIPTS])
+def test_scripts_import_no_private_domgame_name(path):
+    assert _private_domgame_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_import_check_has_teeth():
+    source = ("from domgame.strategies import _safe, get_strategy\n"
+              "import domgame._inner.mod\n"
+              "def f():\n    from domgame._x import y\n"
+              "from other import _fine\nfrom . import _relative\n")
+    assert _private_domgame_imports(source) == ["_safe", "_inner", "_x"]
+    assert _private_domgame_imports("from domgame.graphs import nested_pair\n") == []

@@ -19,11 +19,13 @@ from domgame.engine import (
 )
 from domgame.graphs import (
     Graph,
+    corpus,
     disjoint_union,
     enumerate_isolate_free_graphs,
     gen_complete,
     gen_cycle,
     gen_path,
+    nested_pair,
     relabel,
     subdivide3,
 )
@@ -160,6 +162,20 @@ def test_safe_start_not_applicable_on_c8():
     st = new_game(ddg(DOM), gen_cycle(8))
     with pytest.raises(NotApplicable):
         move_of("dom-start-safe", st)
+
+
+def test_safe_start_opens_on_the_nested_pair_vertex():
+    strat = get_strategy("dom-start-safe")
+    opened = 0
+    for g in corpus("connected:7"):
+        v = nested_pair(g)
+        if v is None:
+            with pytest.raises(NotApplicable):
+                strat.prepare(ddg(DOM), g)
+        else:
+            assert strat.prepare(ddg(DOM), g) == v
+            opened += 1
+    assert opened == 1 + 2 + 5 + 19 + 103 + 807
 
 
 def test_safe_start_delegates_afterwards():
