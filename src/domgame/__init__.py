@@ -14,7 +14,6 @@ from .engine import (
     GameState,
     IllegalMoveError,
     Move,
-    Status,
     new_game,
     replay,
     trace_lines,

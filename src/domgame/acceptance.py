@@ -8,8 +8,6 @@ prints one pass/fail line per item.  The pytest suite runs the same items.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
 
 from .engine import (
     BDG,
@@ -41,7 +39,7 @@ from .graphs import (
     subdivide3,
 )
 from .matching import maximum_matching
-from .solver import _Solver, solve, verify_strategy
+from .solver import solve, verify_strategy
 
 
 def _ddg(starter, pass_rights="none", d=1, s=1) -> GameConfig:
@@ -240,20 +238,14 @@ def _assert_state_sound(state) -> None:
     )
     _check(not (mono and both_dominating),
            "a monochromatic neighborhood coexists with two dominating classes")
-    st = state.status
-    if st.winner == SEPY:
+    if state.winner == SEPY:
         _check(mono is not None, "Sepy win without a monochromatic neighborhood")
     if state.config.variant == DDG:
-        if st.winner == DOM:
+        if state.winner == DOM:
             _check(both_dominating and mono is None, "malformed Dom win")
-        if st.ongoing:
+        if state.winner is None:
             _check(len(state.legal_moves()) > 0, "ongoing state with no moves")
             _check(mono is None, "ongoing state already monochromatic")
-
-
-def _state_key(solver, state) -> int:
-    vp, vb, _dp, _db, actor, sel = state.position()
-    return solver._key(vp, vb, actor, sel)
 
 
 def _walk_full_tree(config, g) -> int:
@@ -296,7 +288,7 @@ def crit_engine_properties() -> str:
         cfg = _RULE_COMBOS[rng.randrange(len(_RULE_COMBOS))]
         state = new_game(cfg, g)
         plies = 0
-        while state.status.ongoing:
+        while state.winner is None:
             moves = state.legal_moves()
             state = state.apply(moves[rng.randrange(len(moves))])
             plies += 1
@@ -311,25 +303,22 @@ def crit_engine_properties() -> str:
                     mismatches += 1
     _check(mismatches == 0, f"{mismatches} memoized/unmemoized winner mismatches")
 
-    # palette-swap twins share a solve key and a winner in the disjoint game
+    # palette-swap twins share a winner in the disjoint game
     rng = random.Random(4242)
     fixtures = [gen_cycle(7), gen_path(6), disjoint_union(gen_cycle(4), gen_path(3))]
     for g in fixtures:
         for cfg in (_ddg(DOM), _ddg(SEPY)):
             base = new_game(cfg, g)
-            solver = _Solver(base.rules)
             for _ in range(100):
                 state, twin = base, base
-                while state.status.ongoing and rng.random() < 0.7:
+                while state.winner is None and rng.random() < 0.7:
                     moves = state.legal_moves()
                     mv = moves[rng.randrange(len(moves))]
                     if mv.is_pass:
                         break
                     state = state.apply(mv)
                     twin = twin.apply(Move(mv.vertex, 1 - mv.color))
-                _check(_state_key(solver, state) == _state_key(solver, twin),
-                       "palette twins have different solve keys")
-                if state.status.ongoing:
+                if state.winner is None:
                     _check(solve(cfg, g, state).winner == solve(cfg, g, twin).winner,
                            "palette twins solved differently")
 
@@ -399,41 +388,34 @@ def crit_graph_oracles() -> str:
     return f"matching vs brute force on {checked} graphs; counts and round trips exact"
 
 
-@dataclass(frozen=True)
-class Item:
-    item_id: str
-    title: str
-    fn: Callable[[], str]
-
-
-ITEMS: tuple[Item, ...] = (
-    Item("cycles", "Dom-start cycles (n >= 8) are Sepy wins", crit_cycles),
-    Item("ons-connected", "Sepy-start connected graphs are Dom wins via ons", crit_ons_connected),
-    Item("onsp-pass", "...even when Sepy may pass, via onsp", crit_onsp_pass),
-    Item("dom-pass-unions", "Dom's pass rights win disconnected Sepy-start games", crit_dom_pass_unions),
-    Item("c4c8-passing", "pass rights flip the C4+C8 game", crit_c4c8_passing),
-    Item("safe-start", "nested neighborhoods give Dom the first move", crit_safe_start),
-    Item("subdivision", "triple subdivisions are Sepy wins when Dom starts", crit_subdivision),
-    Item("biased-two-one", "two Dom selections per turn win everywhere", crit_biased_two_one),
-    Item("bdg-perfect-matching", "bicolored game: matching play on perfect matchings", crit_bdg_perfect_matching),
-    Item("bdg-general", "bicolored game: Dom wins on every graph", crit_bdg_general),
-    Item("engine-properties", "engine invariants, memo equivalence, symmetries", crit_engine_properties),
-    Item("graph-oracles", "matching/enumeration/graph6 against independent oracles", crit_graph_oracles),
-)
+# item id -> criterion, in the order the battery runs
+ITEMS = {
+    "cycles": crit_cycles,
+    "ons-connected": crit_ons_connected,
+    "onsp-pass": crit_onsp_pass,
+    "dom-pass-unions": crit_dom_pass_unions,
+    "c4c8-passing": crit_c4c8_passing,
+    "safe-start": crit_safe_start,
+    "subdivision": crit_subdivision,
+    "biased-two-one": crit_biased_two_one,
+    "bdg-perfect-matching": crit_bdg_perfect_matching,
+    "bdg-general": crit_bdg_general,
+    "engine-properties": crit_engine_properties,
+    "graph-oracles": crit_graph_oracles,
+}
 
 
 def run_suite(only: str | None = None, out=print) -> bool:
     """Run (a filtered subset of) the battery; one line per item.  A filter
     that no item id contains raises KeyError, so a typo cannot pass."""
-    items = [item for item in ITEMS if not only or only in item.item_id]
+    items = [item_id for item_id in ITEMS if not only or only in item_id]
     if only and not items:
         raise KeyError(f"no acceptance item id contains {only!r}")
     ok = True
-    for item in items:
+    for item_id in items:
         try:
-            detail = item.fn()
-            out(f"[PASS] {item.item_id}: {detail}")
+            out(f"[PASS] {item_id}: {ITEMS[item_id]()}")
         except AssertionError as exc:
             ok = False
-            out(f"[FAIL] {item.item_id}: {exc}")
+            out(f"[FAIL] {item_id}: {exc}")
     return ok

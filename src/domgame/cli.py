@@ -151,7 +151,7 @@ def _human_move(state: GameState) -> Move:
         except (ValueError, KeyError):
             print("could not parse that move", file=sys.stderr)
             continue
-        if not state.status.ongoing or mv not in state.legal_moves():
+        if mv not in state.legal_moves():  # none once the game is over
             print("illegal move here", file=sys.stderr)
             continue
         return mv
@@ -174,10 +174,10 @@ def cmd_play(args) -> int:
         SEPY: _seat_mover(args.sepy, SEPY, config, g, submap, args.seed),
     }
     state = new_game(config, g)
-    while state.status.ongoing:
+    while state.winner is None:
         state = state.apply(movers[state.actor](state))
         print(json.dumps(trace_record(state)))
-    print(json.dumps({"winner": state.status.winner}))
+    print(json.dumps({"winner": state.winner}))
     return EXIT_OK
 
 

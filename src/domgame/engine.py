@@ -139,22 +139,6 @@ class GameConfig:
         }
 
 
-@dataclass(frozen=True)
-class Status:
-    """Outcome view of a state: winner None while the game is ongoing."""
-
-    winner: str | None
-    witness: int | None = None
-    witness_color: int | None = None
-
-    @property
-    def ongoing(self) -> bool:
-        return self.winner is None
-
-    def label(self) -> str:
-        return "ongoing" if self.ongoing else self.winner
-
-
 class Rules:
     """The rules of one game on raw bitmasks: the kernel that ``GameState``
     plays and the solver searches.
@@ -301,9 +285,10 @@ class GameState:
     """A kernel position plus the record of how play reached it.
 
     vmask and dom are the (purple, blue) masks of colored and of dominated
-    vertices; actor and selections_done are the turn bookkeeping; winner is
-    None while the game is on.  history holds (actor, move) pairs and
-    last_select is (vertex, color, actor) of the latest selection.
+    vertices; actor and selections_done are the turn bookkeeping; winner,
+    the state's one outcome field, is None while the game is on (``witness``
+    names Sepy's monochromatic neighborhood).  history holds (actor, move)
+    pairs and last_select is (vertex, color, actor) of the latest selection.
     """
 
     __slots__ = (
@@ -324,18 +309,16 @@ class GameState:
     def config(self) -> GameConfig:
         return self.rules.cfg
 
-    @property
-    def status(self) -> Status:
-        if self.winner is None:
-            return Status(None)
-        if self.winner == DOM:
-            return Status(DOM)
+    def witness(self) -> tuple[int, int] | None:
+        """(u, color) for the least monochromatic N[u] after a Sepy win,
+        else None."""
+        if self.winner != SEPY:
+            return None
         # Sepy won with the latest selection, so every monochromatic closed
         # neighborhood is around its vertex
         v, c, _actor = self.last_select
         closed, colored = self.rules.closed, self.vmask[c]
-        witness = next(u for u in self.rules.closed_verts[v] if not closed[u] & ~colored)
-        return Status(SEPY, witness=witness, witness_color=c)
+        return next(u for u in self.rules.closed_verts[v] if not closed[u] & ~colored), c
 
     @property
     def colors(self) -> list[int]:
@@ -499,7 +482,7 @@ def trace_record(state: GameState) -> dict:
     """The JSON-lines trace record of the state's latest move."""
     actor, move = state.history[-1]
     return {"ply": state.ply(), "actor": actor, "move": move.to_json(),
-            "status": state.status.label()}
+            "status": state.winner or "ongoing"}
 
 
 def trace_lines(state: GameState) -> list[dict]:
@@ -526,8 +509,7 @@ def replay(config: GameConfig, g: Graph, lines: list[dict]) -> GameState:
         if cur.actor != actor:
             raise IllegalMoveError(f"ply {ply}: expected {cur.actor} to move")
         cur = cur.apply(Move.from_json(move))
-        if cur.status.label() != status:
-            raise IllegalMoveError(
-                f"ply {ply}: status {cur.status.label()} != recorded {status}"
-            )
+        label = trace_record(cur)["status"]
+        if label != status:
+            raise IllegalMoveError(f"ply {ply}: status {label} != recorded {status}")
     return cur

@@ -83,6 +83,7 @@ from .engine import (
     other_player,
     trace_lines,
 )
+from .formats import emit_graph6
 from .graphs import Graph, automorphisms
 
 DEFAULT_VERTEX_CAP = 14
@@ -115,8 +116,6 @@ class SolveResult:
         return self.pv[0] if self.pv else None
 
     def to_json(self, graph: Graph, config: GameConfig) -> dict:
-        from .formats import emit_graph6
-
         return {
             "graph": emit_graph6(graph),
             "config": config.to_json(),
@@ -307,13 +306,15 @@ def solve(config: GameConfig, g: Graph, state: GameState | None = None, *,
     return SolveResult(winner, solver.nodes, tuple(pv))
 
 
-def _principal_variation(solver: _Solver, pos, winner: str, limit: int = 200) -> list[Move]:
+def _principal_variation(solver: _Solver, pos, winner: str) -> list[Move]:
     """Best play from pos, whose value is winner: at each step the first
     child in canonical order with that value, which every position on the
-    line shares."""
+    line shares, until the game ends.  A game lasts at most 2n plies: every
+    ply but a pass colors a vertex, and only one player ever holds a pass
+    right, so the other's selection follows each pass."""
     pv = []
     cur = pos
-    for _ in range(limit):
+    while True:
         for v, c, child in solver.expand(*cur):
             w = child[6] if child[6] is not None else solver.value(*child[:6])
             if w == winner:
@@ -322,9 +323,8 @@ def _principal_variation(solver: _Solver, pos, winner: str, limit: int = 200) ->
             raise EngineInvariantError("position without a child of its value")
         pv.append(PASS if v is None else Move(v, c))
         if child[6] is not None:
-            break
+            return pv
         cur = child[:6]
-    return pv
 
 
 class _Failed(Exception):
@@ -345,7 +345,6 @@ def verify_strategy(strategy, role: str, config: GameConfig, g: Graph, *,
     nodes are shared through a memo only when the strategy declares itself
     history-independent (see the module docstring for the key).
     """
-    from .formats import emit_graph6
     from .strategies import StrategyViolation, seat
 
     strat, ctx = seat(strategy, role, config, g, submap=submap, seed=seed)

@@ -242,7 +242,6 @@ class DomPass(Strategy):
 
     def prepare(self, config, graph, *, submap=None, seed=None):
         _require(config.variant == DDG, "pass-based play is for the disjoint game")
-        _require(not config.biased, "pass-based play assumes one selection per turn")
         _require(config.pass_rights == DOM, "pass-based play needs Dom's pass rights")
         opening = None
         if config.starter == DOM:

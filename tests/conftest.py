@@ -38,7 +38,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 def random_playout(state, rng: random.Random):
     """Play uniformly random legal moves to the end; returns the final state."""
-    while state.status.ongoing:
+    while state.winner is None:
         moves = state.legal_moves()
         state = state.apply(moves[rng.randrange(len(moves))])
     return state

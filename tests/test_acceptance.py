@@ -9,10 +9,10 @@ import pytest
 from domgame.acceptance import ITEMS, _assert_state_sound
 
 
-@pytest.mark.parametrize("item", ITEMS, ids=[item.item_id for item in ITEMS])
-def test_acceptance(item):
-    detail = item.fn()  # raises AssertionError with the failing fact
-    print(f"[PASS] {item.item_id}: {detail}")
+@pytest.mark.parametrize("item_id", ITEMS)
+def test_acceptance(item_id):
+    detail = ITEMS[item_id]()  # raises AssertionError with the failing fact
+    print(f"[PASS] {item_id}: {detail}")
 
 
 def test_soundness_checker_has_teeth():
@@ -32,8 +32,8 @@ def test_soundness_checker_has_teeth():
 def test_run_suite_reports_failures(monkeypatch):
     import domgame.acceptance as acc
 
-    broken = acc.Item("broken", "always fails", lambda: (_ for _ in ()).throw(AssertionError("boom")))
-    monkeypatch.setattr(acc, "ITEMS", (broken,))
+    broken = {"broken": lambda: (_ for _ in ()).throw(AssertionError("boom"))}
+    monkeypatch.setattr(acc, "ITEMS", broken)
     lines = []
     assert acc.run_suite(out=lines.append) is False
     assert lines == ["[FAIL] broken: boom"]

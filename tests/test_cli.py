@@ -189,7 +189,7 @@ def test_play_trace_replays(capsys):
     trace, final = lines[:-1], lines[-1]
     cfg = GameConfig(variant="ddg", starter="sepy")
     end = replay(cfg, gen_cycle(6), trace)
-    assert end.status.winner == final["winner"] == "dom"
+    assert end.winner == final["winner"] == "dom"
 
 
 def test_play_bdg_matching(capsys):

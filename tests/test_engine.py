@@ -52,7 +52,7 @@ def test_new_game_fresh():
     st_ = new_game(ddg(SEPY), gen_cycle(4))
     assert st_.actor == SEPY
     assert all(c == -1 for c in st_.colors)
-    assert st_.status.ongoing
+    assert st_.winner is None
 
 
 def test_bdg_requires_unit_selections():
@@ -181,7 +181,7 @@ def test_bdg_binds_colors():
 
 def test_k2_forced_line():
     st_ = play(new_game(ddg(DOM), gen_path(2)), Move(0, PURPLE), Move(1, BLUE))
-    assert st_.status.winner == DOM
+    assert st_.winner == DOM and st_.witness() is None
 
 
 def test_c8_monochromatic_line():
@@ -189,18 +189,18 @@ def test_c8_monochromatic_line():
         new_game(ddg(DOM), gen_cycle(8)),
         Move(0, PURPLE), Move(1, PURPLE), Move(3, BLUE), Move(7, PURPLE),
     )
-    assert st_.status.winner == SEPY
-    assert st_.status.witness == 0 and st_.status.witness_color == PURPLE
+    assert st_.winner == SEPY
+    assert st_.witness() == (0, PURPLE)
 
 
 def test_p3_monochromatic():
     st_ = play(new_game(ddg(SEPY), gen_path(3)), Move(0, PURPLE), Move(1, PURPLE))
-    assert st_.status.winner == SEPY and st_.status.witness == 0
+    assert st_.winner == SEPY and st_.witness() == (0, PURPLE)
 
 
 def test_c4_midgame_ongoing():
     st_ = play(new_game(ddg(SEPY), gen_cycle(4)), Move(0, PURPLE), Move(2, BLUE))
-    assert st_.status.ongoing
+    assert st_.winner is None and st_.witness() is None
 
 
 def test_illegal_apply_rejected():
@@ -243,7 +243,7 @@ def test_biased_win_arrives_mid_turn():
     st_ = new_game(cfg, gen_path(2)).apply(Move(0, PURPLE))
     assert st_.actor == DOM and st_.selections_done == 1
     st_ = st_.apply(Move(1, BLUE))  # second of three selections already ends it
-    assert st_.status.winner == DOM
+    assert st_.winner == DOM
 
 
 def test_biased_sepy_whole_turn_pass():
@@ -271,13 +271,13 @@ def test_bdg_skips_stuck_dom():
     st_ = st_.apply(Move(0, BLUE))
     assert st_.actor == SEPY
     st_ = st_.apply(Move(2, BLUE))
-    assert st_.status.winner == DOM
+    assert st_.winner == DOM
     assert [a for a, _ in st_.history] == [DOM, SEPY, SEPY]
 
 
 def test_bdg_end_needs_both_classes_dominating():
     st_ = new_game(bdg(DOM), gen_path(2)).apply(Move(0, PURPLE)).apply(Move(1, BLUE))
-    assert st_.status.winner == DOM
+    assert st_.winner == DOM
     assert st_.dom[PURPLE] == st_.dom[BLUE] == 0b11
 
 
@@ -289,7 +289,7 @@ def test_bdg_with_pass_rights_cannot_stall():
     assert st_.actor == SEPY  # Dom is stuck and skipped from here on
     assert PASS not in st_.legal_moves()
     st_ = st_.apply(Move(2, BLUE))
-    assert st_.status.winner == DOM
+    assert st_.winner == DOM
 
 
 # --- dominated masks and properties -------------------------------------------------
@@ -300,7 +300,7 @@ def test_dominated_masks_match_recount_on_playouts(g, seed):
     rng = random.Random(seed)
     cfg = [ddg(DOM), ddg(SEPY), ddg(SEPY, pass_rights="sepy"), bdg(DOM)][seed % 4]
     state = new_game(cfg, g)
-    while state.status.ongoing:
+    while state.winner is None:
         moves = state.legal_moves()
         state = state.apply(moves[rng.randrange(len(moves))])
         for c in (PURPLE, BLUE):
@@ -309,7 +309,7 @@ def test_dominated_masks_match_recount_on_playouts(g, seed):
                 if state.vmask[c] >> v & 1:
                     recount |= g.closed_mask[v]
             assert state.dom[c] == recount
-    assert state.status.winner in (DOM, SEPY)
+    assert state.winner in (DOM, SEPY)
 
 
 @settings(max_examples=40, deadline=None)
@@ -326,7 +326,7 @@ def test_win_conditions_exclusive():
     # monochromatic neighborhood can no longer appear; spot-check a full game
     rng = random.Random(7)
     state = random_playout(new_game(ddg(DOM), gen_cycle(5)), rng)
-    assert state.status.winner in (DOM, SEPY)
+    assert state.winner in (DOM, SEPY)
 
 
 # --- trace and replay -----------------------------------------------------------------
@@ -346,7 +346,7 @@ def test_replay_round_trip():
     state = random_playout(new_game(cfg, gen_cycle(6)), rng)
     lines = trace_lines(state)
     end = replay(cfg, gen_cycle(6), lines)
-    assert end.status.winner == state.status.winner
+    assert end.winner == state.winner
     assert end.colors == state.colors
 
 

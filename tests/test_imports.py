@@ -1,7 +1,9 @@
-"""Every module-level import is read somewhere in its module, and the
-scripts import only public names from ``domgame``.
+"""Every module-level import is read somewhere in its module, the scripts
+import only public names from ``domgame``, and no ``domgame`` module takes
+a private name from a sibling.
 
-``__init__.py`` files are skipped, because their imports are re-exports.
+The unused-import check skips ``__init__.py`` files, because their imports
+are re-exports.
 """
 
 import ast
@@ -15,6 +17,7 @@ MODULES = sorted(
     for path in (ROOT / top).rglob("*.py") if path.name != "__init__.py"
 )
 SCRIPTS = sorted((ROOT / "scripts").rglob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "domgame").rglob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -47,6 +50,18 @@ def _private_domgame_imports(source: str) -> list[str]:
     return found
 
 
+def _private_sibling_imports(source: str) -> list[str]:
+    """The underscore-prefixed names, modules included, that any relative
+    import in source takes from a sibling module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            parts = node.module.split(".") if node.module else []
+            found += [name for name in parts + [alias.name for alias in node.names]
+                      if name.startswith("_")]
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
@@ -69,3 +84,18 @@ def test_private_import_check_has_teeth():
               "from other import _fine\nfrom . import _relative\n")
     assert _private_domgame_imports(source) == ["_safe", "_inner", "_x"]
     assert _private_domgame_imports("from domgame.graphs import nested_pair\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_package_imports_no_private_sibling_name(path):
+    assert _private_sibling_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_sibling_import_check_has_teeth():
+    source = ("from __future__ import annotations\n"
+              "from .solver import _Solver, solve\n"
+              "from ._inner.mod import x\n"
+              "from domgame.graphs import _absolute\n"
+              "def f():\n    from .strategies import _seat\n")
+    assert _private_sibling_imports(source) == ["_Solver", "_inner", "_seat"]
+    assert _private_sibling_imports("from .graphs import nested_pair\nfrom . import engine\n") == []

@@ -150,10 +150,10 @@ def test_engine_matches_reference_rules(name):
                         (sibling.position(), sibling.winner), (where, mv)
                     ref_pos, winner, mono = ref.after(pos, mv)
                     assert child.dom == ref.dominated_masks(ref_pos[0]), (where, mv)
-                    status = child.status
-                    assert status.winner == winner, (where, mv)
+                    assert child.winner == winner, (where, mv)
+                    # the reference names the monochromatic (u, c) of a Sepy
+                    # win and None otherwise
+                    assert child.witness() == mono, (where, mv)
                     if winner is None:
                         assert _reference_position(child) == ref_pos, (where, mv)
                         stack.append(child)
-                    elif winner == SEPY:
-                        assert (status.witness, status.witness_color) == mono, (where, mv)

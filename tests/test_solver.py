@@ -112,7 +112,7 @@ def test_principal_variation_replays_to_the_winner():
     state = new_game(ddg(DOM), g)
     for mv in res.pv:
         state = state.apply(mv)
-    assert state.status.winner == res.winner
+    assert state.winner == res.winner
 
 
 def test_result_json_shape():
@@ -137,6 +137,20 @@ def test_palette_twins_share_keys_in_ddg():
     a = new_game(ddg(DOM), g).apply(Move(0, PURPLE)).apply(Move(2, BLUE))
     b = new_game(ddg(DOM), g).apply(Move(0, BLUE)).apply(Move(2, PURPLE))
     assert _key(a) == _key(b)
+    # 100 seeded random walks and their palette-swapped twins per input of
+    # the acceptance battery's twin check, which compares winners
+    for g in (gen_cycle(7), gen_path(6), disjoint_union(gen_cycle(4), gen_path(3))):
+        for starter in (DOM, SEPY):
+            rng = random.Random(4242)
+            base = new_game(ddg(starter), g)
+            for _ in range(100):
+                state, twin = base, base
+                while state.winner is None and rng.random() < 0.7:
+                    moves = state.legal_moves()
+                    mv = moves[rng.randrange(len(moves))]
+                    state = state.apply(mv)
+                    twin = twin.apply(Move(mv.vertex, 1 - mv.color))
+                assert _key(state) == _key(twin), (g.edges(), starter, state.history)
 
 
 def test_palette_twins_differ_in_bdg():
@@ -154,22 +168,22 @@ def test_best_move_value_maps_under_palette_swap():
     rng = random.Random(88)
     for _ in range(20):
         state, twin = new_game(cfg, g), new_game(cfg, g)
-        while state.status.ongoing and rng.random() < 0.6:
+        while state.winner is None and rng.random() < 0.6:
             moves = state.legal_moves()
             mv = moves[rng.randrange(len(moves))]
             state = state.apply(mv)
             twin = twin.apply(Move(mv.vertex, 1 - mv.color))
-        if not state.status.ongoing:
+        if state.winner is not None:
             continue
         res = solve(cfg, g, state)
         mv = res.best_move
         if res.winner == state.actor:
             # the swapped image of a winning move must win the twin game
             after = twin.apply(Move(mv.vertex, 1 - mv.color))
-            if after.status.ongoing:
+            if after.winner is None:
                 assert solve(cfg, g, after).winner == state.actor
             else:
-                assert after.status.winner == state.actor
+                assert after.winner == state.actor
 
 
 def test_key_ignores_history_order():
@@ -256,7 +270,7 @@ def _reachable_positions(cfg, g, rng):
     positions = set()
     for _ in range(60):
         state = new_game(cfg, g)
-        while state.status.ongoing:
+        while state.winner is None:
             positions.add(state.position())
             moves = state.legal_moves()
             state = state.apply(moves[rng.randrange(len(moves))])
@@ -387,12 +401,11 @@ def test_solver_agrees_with_playout_endings():
         for cfg in configs:
             for _ in range(3):
                 state = new_game(cfg, g)
-                while state.status.ongoing:
+                while state.winner is None:
                     actor = state.actor
                     children = [state.apply(mv) for mv in state.legal_moves()]
                     actor_wins = any(
-                        (child.status.winner if not child.status.ongoing
-                         else solve(cfg, g, child).winner) == actor
+                        (child.winner or solve(cfg, g, child).winner) == actor
                         for child in children
                     )
                     assert (solve(cfg, g, state).winner == actor) == actor_wins, \
@@ -450,7 +463,7 @@ def test_verify_failure_produces_counterexample():
     from domgame.engine import replay
 
     end = replay(ddg(DOM), gen_cycle(8), rep.counterexample)
-    assert end.status.winner == SEPY
+    assert end.winner == SEPY
 
 
 def test_verify_report_json():

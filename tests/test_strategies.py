@@ -244,7 +244,7 @@ def test_biased_redirects_final_completion_to_fresh_component():
     st = play(st, move_of("biased-dom", st))
     st = play(st, move_of("biased-dom", st))
     assert [m for _a, m in st.history] == [Move(0, PURPLE), Move(1, BLUE)]
-    assert st.status.winner is None and st.actor == SEPY
+    assert st.winner is None and st.actor == SEPY
     st = st.apply(PASS)
     # turn 2: opposite-neighbor play has no move (K2 done), so Dom must open
     # the fresh P3 and answer inside it rather than stranding a lone opener
@@ -324,7 +324,7 @@ def test_cycle_strategy_canonical_line_near():
     st = play(st, Move(1, PURPLE), Move(3, BLUE))  # Dom's second at position 4
     mv = move_of("sepy-cycle", st)
     assert mv == Move(7, PURPLE)
-    assert play(st, mv).status.winner == SEPY
+    assert play(st, mv).winner == SEPY
 
 
 def test_cycle_strategy_canonical_line_far():
@@ -332,7 +332,7 @@ def test_cycle_strategy_canonical_line_far():
               Move(0, PURPLE), Move(1, PURPLE), Move(5, PURPLE))
     mv = move_of("sepy-cycle", st)
     assert mv == Move(2, PURPLE)
-    assert play(st, mv).status.winner == SEPY
+    assert play(st, mv).winner == SEPY
 
 
 def test_cycle_strategy_normalizes_any_opening():
@@ -341,7 +341,7 @@ def test_cycle_strategy_normalizes_any_opening():
     assert mv == Move(1, BLUE)  # lesser neighbor of 2, echoing Dom's color
     st = play(st, mv, Move(4, PURPLE))
     mv2 = move_of("sepy-cycle", st)
-    assert play(st, mv2).status.winner == SEPY
+    assert play(st, mv2).winner == SEPY
 
 
 @pytest.mark.parametrize("n", range(8, 13))
@@ -399,7 +399,7 @@ def test_subdiv_strategy_takes_immediate_win():
     far = smap.edge_points[(2, 3)][0]
     st = st.apply(Move(far, BLUE))
     mv = move_of("sepy-subdiv", st, submap=smap)
-    assert play(st, mv).status.winner == SEPY
+    assert play(st, mv).winner == SEPY
 
 
 # --- baselines --------------------------------------------------------------------------------
@@ -413,7 +413,7 @@ def test_greedy_prefers_immediate_win():
     st = play(new_game(ddg(DOM), gen_cycle(8)),
               Move(0, PURPLE), Move(1, PURPLE), Move(3, BLUE))
     mv = move_of("greedy", st, seed=0)
-    assert play(st, mv).status.winner == SEPY
+    assert play(st, mv).winner == SEPY
 
 
 def test_greedy_falls_back_to_random():
