@@ -161,7 +161,10 @@ def _seat_mover(name: str, role: str, config, g, submap, seed):
     if name == "human":
         return _human_move
     if name == "solver":
-        return lambda st: solve(config, g, st).best_move
+        # solving the opening here raises a resource or config error before
+        # the first trace line is printed
+        opening = solve(config, g)
+        return lambda st: (solve(config, g, st) if st.history else opening).best_move
     strat, ctx = seat(name, role, config, g, submap=submap, seed=seed)
     return lambda st: strat.move(st, ctx)
 

@@ -7,9 +7,9 @@ rule of its own.  Games of this family always end with a winner, so no
 scores are needed and the first winning child cuts the branch.  Each
 position is expanded once by ``Rules.expand`` into plain tuples; a child
 that wins on the spot for the mover is taken before any open child is
-searched, and the open ones are then searched in canonical order.  A win/lose value does not depend on
-that order, and the best move and PV are still the first child in canonical
-order with the right value.
+searched, and the open ones are then searched in canonical order.  A
+win/lose value does not depend on that order, and the best move and PV are
+still the first child in canonical order with the right value.
 
 The transposition table is keyed up to symmetry.  Once per solve the solver
 takes at most 2n automorphisms of the graph (``graphs.automorphisms``; 2n is
@@ -296,7 +296,7 @@ def solve(config: GameConfig, g: Graph, state: GameState | None = None, *,
         )
     root = state if state is not None else new_game(config, g)
     if root.graph != g or root.config != config:
-        raise ValueError("state does not belong to the given graph and config")
+        raise ConfigError("state does not belong to the given graph and config")
     if root.winner is not None:
         return SolveResult(root.winner, 0, ())
     solver = _Solver(root.rules, use_memo=use_memo)

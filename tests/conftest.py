@@ -2,8 +2,8 @@ import random
 
 from hypothesis import strategies as st
 
-from domgame.engine import DOM, SEPY, GameConfig
-from domgame.graphs import Graph
+from domgame.engine import BLUE, DOM, PURPLE, SEPY, GameConfig
+from domgame.graphs import Graph, bits
 
 # pass rights and (2:1) reach the kernel's pass and mid-turn branches
 RULE_CONFIGS = (
@@ -12,6 +12,20 @@ RULE_CONFIGS = (
     GameConfig("ddg", DOM, pass_rights="dom"), GameConfig("ddg", DOM, d=2),
     GameConfig("ddg", SEPY, d=2),
 )
+
+
+def ddg(starter, **kw):
+    return GameConfig(variant="ddg", starter=starter, **kw)
+
+
+def bdg(starter, **kw):
+    return GameConfig(variant="bdg", starter=starter, **kw)
+
+
+def play(state, *moves):
+    for mv in moves:
+        state = state.apply(mv)
+    return state
 
 
 @st.composite
@@ -42,3 +56,32 @@ def random_playout(state, rng: random.Random):
         moves = state.legal_moves()
         state = state.apply(moves[rng.randrange(len(moves))])
     return state
+
+
+def assert_state_sound(state):
+    """Rule-level invariants of one state: the dominated masks match a
+    recount of the colored vertices, the two win conditions never coincide,
+    a Sepy win shows a monochromatic neighborhood, and in the disjoint game
+    a Dom win is well formed and an ongoing state has a move and no
+    monochromatic neighborhood."""
+    g = state.graph
+    mono = None
+    for c in (PURPLE, BLUE):
+        recount = 0
+        for v in bits(state.vmask[c]):
+            recount |= g.closed_mask[v]
+            if g.closed_mask[v] & ~state.vmask[c] == 0:
+                mono = (v, c)
+        assert state.dom[c] == recount, \
+            "dominated mask diverged from a recount of the colored vertices"
+    both_dominating = state.dom[PURPLE] == state.dom[BLUE] == g.full_mask
+    assert not (mono and both_dominating), \
+        "a monochromatic neighborhood coexists with two dominating classes"
+    if state.winner == SEPY:
+        assert mono is not None, "Sepy win without a monochromatic neighborhood"
+    if state.config.variant == "ddg":
+        if state.winner == DOM:
+            assert both_dominating and mono is None, "malformed Dom win"
+        if state.winner is None:
+            assert state.legal_moves(), "ongoing state with no moves"
+            assert mono is None, "ongoing state already monochromatic"

@@ -181,6 +181,24 @@ def test_play_cycle_strategy_beats_random(capsys):
     assert len(lines) - 1 <= 4
 
 
+@pytest.mark.parametrize("seats", [("--start", "dom", "--dom", "random", "--sepy", "solver"),
+                                   ("--start", "sepy", "--dom", "solver", "--sepy", "random")],
+                         ids=["sepy-seat", "dom-seat"])
+@pytest.mark.parametrize("cap, graph, code, prefix", [
+    (None, "cycle:15", 2, "resource limit:"), ("abc", "cycle:5", 1, "error:"),
+], ids=["vertex-cap", "bad-cap"])
+def test_solver_seat_fails_before_play(capsys, monkeypatch, seats, cap, graph, code, prefix):
+    # the solver seat moves second, so a failure at its first move would
+    # come after the opening's trace line
+    if cap is None:
+        monkeypatch.delenv("DOMGAME_STATE_CAP", raising=False)
+    else:
+        monkeypatch.setenv("DOMGAME_STATE_CAP", cap)
+    got, out, err = run(capsys, "play", "--graph", graph, *seats)
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix)
+
+
 def test_play_trace_replays(capsys):
     code, out, _ = run(capsys, "play", "--graph", "cycle:6", "--start", "sepy",
                        "--dom", "ons", "--sepy", "random", "--seed", "3")

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RULE_CONFIGS, graphs_st, random_playout
+from conftest import (
+    RULE_CONFIGS,
+    assert_state_sound,
+    bdg,
+    ddg,
+    graphs_st,
+    play,
+    random_playout,
+)
 from domgame.engine import (
     BLUE,
     DOM,
@@ -29,21 +37,8 @@ from domgame.graphs import (
     enumerate_isolate_free_graphs,
     gen_cycle,
     gen_path,
+    random_isolate_free,
 )
-
-
-def ddg(starter, **kw):
-    return GameConfig(variant="ddg", starter=starter, **kw)
-
-
-def bdg(starter, **kw):
-    return GameConfig(variant="bdg", starter=starter, **kw)
-
-
-def play(state, *moves):
-    for mv in moves:
-        state = state.apply(mv)
-    return state
 
 
 # --- configuration and setup --------------------------------------------------
@@ -303,12 +298,7 @@ def test_dominated_masks_match_recount_on_playouts(g, seed):
     while state.winner is None:
         moves = state.legal_moves()
         state = state.apply(moves[rng.randrange(len(moves))])
-        for c in (PURPLE, BLUE):
-            recount = 0
-            for v in range(g.n):
-                if state.vmask[c] >> v & 1:
-                    recount |= g.closed_mask[v]
-            assert state.dom[c] == recount
+        assert_state_sound(state)
     assert state.winner in (DOM, SEPY)
 
 
@@ -319,6 +309,36 @@ def test_games_terminate_quickly(g, seed):
     state = new_game(ddg(SEPY, pass_rights="sepy"), g)
     state = random_playout(state, rng)
     assert len(state.history) <= 2 * g.n + 2
+
+
+# the rule combinations the seeded playouts draw from, in draw order
+_PLAYOUT_CONFIGS = (
+    ddg(DOM), ddg(SEPY), ddg(DOM, pass_rights=DOM), ddg(SEPY, pass_rights=DOM),
+    ddg(DOM, pass_rights=SEPY), ddg(SEPY, pass_rights=SEPY), bdg(DOM), bdg(SEPY),
+)
+
+
+def test_seeded_playouts_stay_sound():
+    # 10^4 random playouts on random isolate-free graphs up to n = 12: every
+    # state reached is sound and every game ends within 4n + 4 plies
+    rng = random.Random(1177)
+    for _ in range(10_000):
+        g = random_isolate_free(rng.randrange(2, 13), rng)
+        state = new_game(_PLAYOUT_CONFIGS[rng.randrange(len(_PLAYOUT_CONFIGS))], g)
+        while state.winner is None:
+            moves = state.legal_moves()
+            state = state.apply(moves[rng.randrange(len(moves))])
+            assert_state_sound(state)
+            assert len(state.history) <= 4 * g.n + 4, "playout failed to terminate in time"
+
+
+def test_soundness_checker_has_teeth():
+    # fault injection: a corrupted dominated mask must fail the check
+    state = new_game(ddg(DOM), gen_cycle(4)).apply(Move(0, PURPLE))
+    assert_state_sound(state)
+    state.dom = (state.dom[PURPLE] ^ 0b100, state.dom[BLUE])
+    with pytest.raises(AssertionError, match="recount"):
+        assert_state_sound(state)
 
 
 def test_win_conditions_exclusive():

@@ -211,8 +211,14 @@ def test_connected_count_n7_known_value():
     assert len(enumerate_connected_graphs(7)) == 853
 
 
+def test_connected_count_n8_known_value():
+    assert len(enumerate_connected_graphs(8)) == 11117
+
+
 def test_all_graph_counts_known_values():
-    assert [len(enumerate_graphs(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    # OEIS A000088
+    assert [len(enumerate_graphs(n)) for n in range(1, 9)] == \
+        [1, 2, 4, 11, 34, 156, 1044, 12346]
 
 
 def test_isolate_free_counts():

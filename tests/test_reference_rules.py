@@ -7,21 +7,14 @@ Nothing is carried from move to move but the coloring and the turn, so it
 shares no code and no masks with ``engine.Rules``.  The test walks the full
 game trees of every isolate-free graph on at most five vertices and compares
 the legal moves, the outcome of every move and the domination masks of
-every state reached.
+every state reached, each of which must also pass ``assert_state_sound``.
 """
 
 import pytest
 
-from domgame.engine import BLUE, DOM, PASS, PURPLE, SEPY, GameConfig, Move, new_game
+from conftest import assert_state_sound, bdg, ddg
+from domgame.engine import BLUE, DOM, PASS, PURPLE, SEPY, Move, new_game
 from domgame.graphs import enumerate_isolate_free_graphs
-
-
-def ddg(starter, **kw):
-    return GameConfig(variant="ddg", starter=starter, **kw)
-
-
-def bdg(starter):
-    return GameConfig(variant="bdg", starter=starter)
 
 
 class Reference:
@@ -139,6 +132,7 @@ def test_engine_matches_reference_rules(name):
                 if pos in seen:
                     continue
                 seen.add(pos)
+                assert_state_sound(state)
                 where = (name, g.edges(), state.history)
                 moves = state.legal_moves()
                 assert moves == ref.moves(pos), where
@@ -157,3 +151,5 @@ def test_engine_matches_reference_rules(name):
                     if winner is None:
                         assert _reference_position(child) == ref_pos, (where, mv)
                         stack.append(child)
+                    else:
+                        assert_state_sound(child)

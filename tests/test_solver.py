@@ -7,13 +7,14 @@ import tracemalloc
 
 import pytest
 
-from conftest import RULE_CONFIGS, complete_bipartite
+from conftest import RULE_CONFIGS, bdg, complete_bipartite, ddg
 from domgame import solver
 from domgame.engine import (
     BLUE,
     DOM,
     PURPLE,
     SEPY,
+    ConfigError,
     GameConfig,
     Move,
     new_game,
@@ -36,14 +37,6 @@ from domgame.solver import (
     verify_strategy,
 )
 from domgame.strategies import NotApplicable, StrategyViolation, get_strategy
-
-
-def ddg(starter, **kw):
-    return GameConfig(variant="ddg", starter=starter, **kw)
-
-
-def bdg(starter):
-    return GameConfig(variant="bdg", starter=starter)
 
 
 # --- winners -------------------------------------------------------------------
@@ -87,6 +80,26 @@ def test_solve_from_midgame_state():
     state = new_game(ddg(DOM), g).apply(Move(0, PURPLE))
     # 0 purple loses for Dom (Sepy answers 1 purple)
     assert solve(ddg(DOM), g, state).winner == SEPY
+
+
+def test_state_of_another_game_is_a_config_error():
+    state = new_game(ddg(DOM), gen_cycle(5))
+    with pytest.raises(ConfigError, match="does not belong"):
+        solve(ddg(DOM), gen_cycle(6), state)
+    with pytest.raises(ConfigError, match="does not belong"):
+        solve(ddg(SEPY), gen_cycle(5), state)
+
+
+def test_winners_survive_relabelling():
+    # 100 seeded relabellings each of C8 in both starts and of the
+    # Sepy-start bicolored C6
+    rng = random.Random(999)
+    for g, cfg in ((gen_cycle(8), ddg(DOM)), (gen_cycle(8), ddg(SEPY)), (gen_cycle(6), bdg(SEPY))):
+        winner = solve(cfg, g).winner
+        for _ in range(100):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert solve(cfg, relabel(g, perm)).winner == winner, (cfg, perm)
 
 
 # --- best moves -------------------------------------------------------------------
@@ -137,12 +150,13 @@ def test_palette_twins_share_keys_in_ddg():
     a = new_game(ddg(DOM), g).apply(Move(0, PURPLE)).apply(Move(2, BLUE))
     b = new_game(ddg(DOM), g).apply(Move(0, BLUE)).apply(Move(2, PURPLE))
     assert _key(a) == _key(b)
-    # 100 seeded random walks and their palette-swapped twins per input of
-    # the acceptance battery's twin check, which compares winners
+    # 100 seeded random walks and their palette-swapped twins per input:
+    # equal keys, and equal winners found without the memo and its keys
     for g in (gen_cycle(7), gen_path(6), disjoint_union(gen_cycle(4), gen_path(3))):
         for starter in (DOM, SEPY):
+            cfg = ddg(starter)
             rng = random.Random(4242)
-            base = new_game(ddg(starter), g)
+            base = new_game(cfg, g)
             for _ in range(100):
                 state, twin = base, base
                 while state.winner is None and rng.random() < 0.7:
@@ -151,6 +165,10 @@ def test_palette_twins_share_keys_in_ddg():
                     state = state.apply(mv)
                     twin = twin.apply(Move(mv.vertex, 1 - mv.color))
                 assert _key(state) == _key(twin), (g.edges(), starter, state.history)
+                if state.history:  # the root is its own twin
+                    assert solve(cfg, g, state, use_memo=False).winner == \
+                        solve(cfg, g, twin, use_memo=False).winner, \
+                        (g.edges(), starter, state.history)
 
 
 def test_palette_twins_differ_in_bdg():
@@ -161,8 +179,6 @@ def test_palette_twins_differ_in_bdg():
 
 
 def test_best_move_value_maps_under_palette_swap():
-    import random
-
     g = gen_cycle(6)
     cfg = ddg(DOM)
     rng = random.Random(88)
@@ -222,12 +238,16 @@ _SYMMETRIC = {
 }
 
 
+# RULE_CONFIGS and the two pass-right holders it lacks in the disjoint game
+_MEMO_CONFIGS = (*RULE_CONFIGS, ddg(SEPY, pass_rights=DOM), ddg(DOM, pass_rights=SEPY))
+
+
 @pytest.mark.parametrize("corpus", [2, 3, 4, 5, *_SYMMETRIC])
 def test_memo_equivalence_small(corpus):
     graphs = (enumerate_isolate_free_graphs(corpus) if isinstance(corpus, int)
               else [_SYMMETRIC[corpus]])
     for g in graphs:
-        for cfg in RULE_CONFIGS:
+        for cfg in _MEMO_CONFIGS:
             memo, plain = solve(cfg, g), solve(cfg, g, use_memo=False)
             assert (memo.winner, memo.best_move, memo.pv) == \
                 (plain.winner, plain.best_move, plain.pv), (cfg, g.edges())
@@ -256,7 +276,7 @@ def test_every_memo_entry_holds_its_positions_value(corpus):
     graphs = (enumerate_isolate_free_graphs(corpus) if isinstance(corpus, int)
               else [_SYMMETRIC[corpus]])
     for g in graphs:
-        for cfg in (*RULE_CONFIGS, ddg(DOM, s=2)):
+        for cfg in (*_MEMO_CONFIGS, ddg(DOM, s=2)):
             root = new_game(cfg, g)
             solver = _Solver(root.rules)
             solver.value(*root.position())

@@ -1,10 +1,11 @@
-"""Strategy behaviors pinned move by move; exhaustive certification lives in
-the acceptance battery."""
+"""Strategy behaviors pinned move by move.  The acceptance battery certifies
+the strategies on the paper's corpora, and ``test_solver.py`` checks every
+certification on the n <= 6 corpus against the solver."""
 
 import random
 
 import pytest
-from conftest import RULE_CONFIGS
+from conftest import RULE_CONFIGS, bdg, ddg, play
 
 from domgame.cli import main
 from domgame.engine import (
@@ -13,7 +14,6 @@ from domgame.engine import (
     PASS,
     PURPLE,
     SEPY,
-    GameConfig,
     Move,
     new_game,
 )
@@ -39,20 +39,10 @@ from domgame.strategies import (
 )
 
 
-def ddg(starter, **kw):
-    return GameConfig(variant="ddg", starter=starter, **kw)
-
-
 def move_of(sid, state, **prepare):
     """The move of strategy ``sid``, prepared for the state's game."""
     strat = get_strategy(sid)
     return strat.move(state, strat.prepare(state.config, state.graph, **prepare))
-
-
-def play(state, *moves):
-    for mv in moves:
-        state = state.apply(mv)
-    return state
 
 
 # --- opposite-neighbor play ---------------------------------------------------
@@ -275,34 +265,34 @@ def test_biased_skips_completion_when_two_left():
 def test_bdg_matching_partner_reply():
     g = gen_cycle(4)
     plan = BdgPlan.build(g)
-    st = play(new_game(GameConfig(variant="bdg", starter=SEPY), g), Move(0, BLUE))
+    st = play(new_game(bdg(SEPY), g), Move(0, BLUE))
     assert get_strategy("bdg-matching").move(st, plan) == Move(1, PURPLE)
 
 
 def test_bdg_matching_opens_untouched_pair():
     g = gen_cycle(4)
     plan = BdgPlan.build(g)
-    st = new_game(GameConfig(variant="bdg", starter=DOM), g)
+    st = new_game(bdg(DOM), g)
     assert get_strategy("bdg-matching").move(st, plan) == Move(0, PURPLE)
 
 
 def test_bdg_matching_not_applicable_without_perfect_matching():
     strat = get_strategy("bdg-matching")
     with pytest.raises(NotApplicable):
-        strat.prepare(GameConfig(variant="bdg", starter=DOM), gen_path(3))
+        strat.prepare(bdg(DOM), gen_path(3))
 
 
 def test_bdg_general_opens_star_center():
     g = gen_path(3)
     plan = BdgPlan.build(g)
-    st = new_game(GameConfig(variant="bdg", starter=DOM), g)
+    st = new_game(bdg(DOM), g)
     assert get_strategy("bdg-general").move(st, plan) == Move(1, PURPLE)
 
 
 def test_bdg_general_partner_reply_on_bare_edge():
     g = gen_cycle(4)
     plan = BdgPlan.build(g)
-    st = play(new_game(GameConfig(variant="bdg", starter=SEPY), g), Move(2, BLUE))
+    st = play(new_game(bdg(SEPY), g), Move(2, BLUE))
     assert get_strategy("bdg-general").move(st, plan) == Move(3, PURPLE)
 
 
@@ -311,7 +301,7 @@ def test_bdg_general_postpones_externals():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
     plan = BdgPlan.build(g)
     assert plan.external_mask == 0b1100
-    st = play(new_game(GameConfig(variant="bdg", starter=SEPY), g), Move(2, BLUE))
+    st = play(new_game(bdg(SEPY), g), Move(2, BLUE))
     mv = get_strategy("bdg-general").move(st, plan)
     assert mv == Move(0, PURPLE)  # the center, not an external vertex
 
