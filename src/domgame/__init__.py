@@ -51,6 +51,7 @@ from .matching import (
 )
 from .solver import (
     ResourceLimitError,
+    Solver,
     SolveResult,
     VerificationReport,
     solve,

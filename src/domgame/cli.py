@@ -38,7 +38,7 @@ from .formats import (
     resolve_generator_spec,
 )
 from .graphs import Graph, GraphError, SubdivisionMap, corpus
-from .solver import ResourceLimitError, solve, verify_strategy
+from .solver import ResourceLimitError, Solver, solve, verify_strategy
 from .strategies import NotApplicable, StrategyViolation, seat, strategy_ids
 
 EXIT_OK = 0
@@ -157,14 +157,11 @@ def _human_move(state: GameState) -> Move:
         return mv
 
 
-def _seat_mover(name: str, role: str, config, g, submap, seed):
+def _seat_mover(name: str, role: str, config, g, submap, seed, solver):
     if name == "human":
         return _human_move
     if name == "solver":
-        # solving the opening here raises a resource or config error before
-        # the first trace line is printed
-        opening = solve(config, g)
-        return lambda st: (solve(config, g, st) if st.history else opening).best_move
+        return lambda st: solver.result(st).best_move
     strat, ctx = seat(name, role, config, g, submap=submap, seed=seed)
     return lambda st: strat.move(st, ctx)
 
@@ -172,9 +169,15 @@ def _seat_mover(name: str, role: str, config, g, submap, seed):
 def cmd_play(args) -> int:
     g, submap = _load_graph(args.graph)
     config = _config_from_args(args)
+    solver = None
+    if "solver" in (args.dom, args.sepy):
+        # one search for the game, which both solver seats share; running it
+        # here raises a resource or config error before the first trace line
+        solver = Solver(config, g)
+        solver.result()
     movers = {
-        DOM: _seat_mover(args.dom, DOM, config, g, submap, args.seed),
-        SEPY: _seat_mover(args.sepy, SEPY, config, g, submap, args.seed),
+        DOM: _seat_mover(args.dom, DOM, config, g, submap, args.seed, solver),
+        SEPY: _seat_mover(args.sepy, SEPY, config, g, submap, args.seed, solver),
     }
     state = new_game(config, g)
     while state.winner is None:

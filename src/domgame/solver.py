@@ -1,9 +1,11 @@
 """Exact winner computation and exhaustive strategy certification.
 
-``solve`` runs a memoized win/lose search over the positions of the rules
-kernel ``engine.Rules`` (coloring and domination masks plus turn
-bookkeeping), the kernel that ``GameState`` plays too; the solver holds no
-rule of its own.  Games of this family always end with a winner, so no
+A ``Solver`` runs a memoized win/lose search over the positions of one
+game's rules kernel ``engine.Rules`` (coloring and domination masks plus
+turn bookkeeping), the kernel that ``GameState`` plays too; the solver holds
+no rule of its own.  Its table lives as long as the ``Solver``, so every
+state of the game is answered from one search; ``solve`` builds a fresh
+one for each call.  Games of this family always end with a winner, so no
 scores are needed and the first winning child cuts the branch.  Each
 position is expanded once by ``Rules.expand`` into plain tuples; a child
 that wins on the spot for the mover is taken before any open child is
@@ -11,7 +13,7 @@ searched, and the open ones are then searched in canonical order.  A
 win/lose value does not depend on that order, and the best move and PV are
 still the first child in canonical order with the right value.
 
-The transposition table is keyed up to symmetry.  Once per solve the solver
+The transposition table is keyed up to symmetry.  Once per game the solver
 takes at most 2n automorphisms of the graph (``graphs.automorphisms``; 2n is
 the most children a node can have, so a key costs about one expansion), and
 a position's key is the least encoding of its coloring over the identity and
@@ -78,7 +80,6 @@ from .engine import (
     GameState,
     IllegalMoveError,
     Move,
-    Rules,
     new_game,
     other_player,
     trace_lines,
@@ -154,12 +155,24 @@ class VerificationReport:
         }
 
 
-class _Solver:
-    """Win/lose search over the positions of the rules kernel."""
+class Solver:
+    """The win/lose search of one game, whose table it keeps."""
 
-    def __init__(self, rules: Rules, *, use_memo: bool = True):
+    def __init__(self, config: GameConfig, graph: Graph, *, use_memo: bool = True):
+        env = os.environ.get("DOMGAME_STATE_CAP")
+        try:
+            cap = int(env) if env else DEFAULT_VERTEX_CAP
+        except ValueError:
+            raise ConfigError(f"DOMGAME_STATE_CAP must be an integer, not {env!r}") from None
+        if graph.n > cap:
+            raise ResourceLimitError(
+                f"graph has {graph.n} vertices, above the solve bound of {cap} "
+                "(raise via DOMGAME_STATE_CAP at your own risk)"
+            )
+        self.root = new_game(config, graph)
+        rules = self.root.rules
         self.expand = rules.expand
-        self.n = rules.graph.n
+        self.n = graph.n
         self.ddg = rules.ddg
         self.use_memo = use_memo
         self.memo: dict[int, str] = {}
@@ -167,7 +180,35 @@ class _Solver:
         # a key scans at most 2n images, the most children a node can have
         self.width = (self.n + 1) // 2 if self.n <= 16 else 8
         self.images = [_image_tables(img, self.width)
-                       for img in automorphisms(rules.graph, 2 * self.n)] if use_memo else []
+                       for img in automorphisms(graph, 2 * self.n)] if use_memo else []
+
+    def result(self, state: GameState | None = None) -> SolveResult:
+        """The winner of state (the root by default) under optimal play and
+        its principal variation: at each step the first child in canonical
+        order with the winner's value, which every position on the line
+        shares, until the game ends.  A game lasts at most 2n plies: every
+        ply but a pass colors a vertex, and only one player ever holds a
+        pass right, so the other's selection follows each pass.  ``nodes``
+        counts every position this search has expanded so far."""
+        state = self.root if state is None else state
+        if state.graph != self.root.graph or state.config != self.root.config:
+            raise ConfigError("state does not belong to the given graph and config")
+        if state.winner is not None:
+            return SolveResult(state.winner, self.nodes, ())
+        cur = state.position()
+        winner = self.value(*cur)
+        pv = []
+        while True:
+            for v, c, child in self.expand(*cur):
+                w = child[6] if child[6] is not None else self.value(*child[:6])
+                if w == winner:
+                    break
+            else:
+                raise EngineInvariantError("position without a child of its value")
+            pv.append(PASS if v is None else Move(v, c))
+            if child[6] is not None:
+                return SolveResult(winner, self.nodes, tuple(pv))
+            cur = child[:6]
 
     # -- search -------------------------------------------------------------
 
@@ -274,57 +315,11 @@ def _image_tables(img, width):
     return tables
 
 
-def _state_cap() -> int:
-    env = os.environ.get("DOMGAME_STATE_CAP")
-    if not env:
-        return DEFAULT_VERTEX_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"DOMGAME_STATE_CAP must be an integer, not {env!r}") from None
-
-
 def solve(config: GameConfig, g: Graph, state: GameState | None = None, *,
-          vertex_cap: int | None = None, use_memo: bool = True) -> SolveResult:
+          use_memo: bool = True) -> SolveResult:
     """Exact winner under optimal play, with the deterministic best move at
-    the root and a principal variation."""
-    cap = vertex_cap if vertex_cap is not None else _state_cap()
-    if g.n > cap:
-        raise ResourceLimitError(
-            f"graph has {g.n} vertices, above the solve bound of {cap} "
-            "(raise via DOMGAME_STATE_CAP or vertex_cap at your own risk)"
-        )
-    root = state if state is not None else new_game(config, g)
-    if root.graph != g or root.config != config:
-        raise ConfigError("state does not belong to the given graph and config")
-    if root.winner is not None:
-        return SolveResult(root.winner, 0, ())
-    solver = _Solver(root.rules, use_memo=use_memo)
-    pos = root.position()
-    winner = solver.value(*pos)
-    pv = _principal_variation(solver, pos, winner)
-    return SolveResult(winner, solver.nodes, tuple(pv))
-
-
-def _principal_variation(solver: _Solver, pos, winner: str) -> list[Move]:
-    """Best play from pos, whose value is winner: at each step the first
-    child in canonical order with that value, which every position on the
-    line shares, until the game ends.  A game lasts at most 2n plies: every
-    ply but a pass colors a vertex, and only one player ever holds a pass
-    right, so the other's selection follows each pass."""
-    pv = []
-    cur = pos
-    while True:
-        for v, c, child in solver.expand(*cur):
-            w = child[6] if child[6] is not None else solver.value(*child[:6])
-            if w == winner:
-                break
-        else:
-            raise EngineInvariantError("position without a child of its value")
-        pv.append(PASS if v is None else Move(v, c))
-        if child[6] is not None:
-            return pv
-        cur = child[:6]
+    the root and a principal variation, from a fresh ``Solver``."""
+    return Solver(config, g, use_memo=use_memo).result(state)
 
 
 class _Failed(Exception):

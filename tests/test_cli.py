@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from domgame.cli import _human_move, main
 from domgame.engine import COLOR_NAMES, DOM, PURPLE, GameConfig, Move, new_game, replay
 from domgame.graphs import gen_cycle
+from domgame.solver import Solver
 
 
 def run(capsys, *argv):
@@ -182,14 +183,15 @@ def test_play_cycle_strategy_beats_random(capsys):
 
 
 @pytest.mark.parametrize("seats", [("--start", "dom", "--dom", "random", "--sepy", "solver"),
-                                   ("--start", "sepy", "--dom", "solver", "--sepy", "random")],
-                         ids=["sepy-seat", "dom-seat"])
+                                   ("--start", "sepy", "--dom", "solver", "--sepy", "random"),
+                                   ("--start", "sepy", "--dom", "solver", "--sepy", "solver")],
+                         ids=["sepy-seat", "dom-seat", "both-seats"])
 @pytest.mark.parametrize("cap, graph, code, prefix", [
     (None, "cycle:15", 2, "resource limit:"), ("abc", "cycle:5", 1, "error:"),
 ], ids=["vertex-cap", "bad-cap"])
 def test_solver_seat_fails_before_play(capsys, monkeypatch, seats, cap, graph, code, prefix):
-    # the solver seat moves second, so a failure at its first move would
-    # come after the opening's trace line
+    # a solver seat that moves second would fail after the opening's trace
+    # line if it searched only at its first move; both seats share one search
     if cap is None:
         monkeypatch.delenv("DOMGAME_STATE_CAP", raising=False)
     else:
@@ -361,3 +363,28 @@ def test_unreadable_graph_file_is_a_usage_error(tmp_path, capsys, case):
 def test_graph6_literal_loading(capsys):
     code, out, _ = run(capsys, "solve", "--graph", "A_", "--start", "dom")
     assert code == 0 and json.loads(out)["winner"] == "dom"
+
+
+@pytest.mark.parametrize("game", [("--graph", "cycle:12", "--start", "sepy"),
+                                  ("--graph", "union:cycle:4+cycle:8", "--start", "sepy",
+                                   "--pass", "sepy")],
+                         ids=["C12", "C4+C8-pass"])
+def test_solver_seats_play_the_solve_pv_from_one_search(capsys, monkeypatch, game):
+    built = []
+
+    class Recorded(Solver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr("domgame.cli.Solver", Recorded)
+    code, out, _ = run(capsys, "solve", *game)
+    assert code == 0
+    solved = json.loads(out)
+    code, out, _ = run(capsys, "play", *game, "--dom", "solver", "--sepy", "solver")
+    assert code == 0
+    *plies, end = [json.loads(line) for line in out.splitlines()]
+    assert [ply["move"] for ply in plies] == solved["pv"]
+    assert end == {"winner": solved["winner"]}
+    # both seats read one search, which expands the nodes of one solve
+    assert len(built) == 1 and built[0].nodes == solved["nodes"]

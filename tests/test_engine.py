@@ -341,14 +341,6 @@ def test_soundness_checker_has_teeth():
         assert_state_sound(state)
 
 
-def test_win_conditions_exclusive():
-    # once both classes dominate, no same-color selection is legal, so a
-    # monochromatic neighborhood can no longer appear; spot-check a full game
-    rng = random.Random(7)
-    state = random_playout(new_game(ddg(DOM), gen_cycle(5)), rng)
-    assert state.winner in (DOM, SEPY)
-
-
 # --- trace and replay -----------------------------------------------------------------
 
 def test_trace_format():

@@ -32,7 +32,7 @@ from domgame.graphs import (
 )
 from domgame.solver import (
     ResourceLimitError,
-    _Solver,
+    Solver,
     solve,
     verify_strategy,
 )
@@ -88,6 +88,8 @@ def test_state_of_another_game_is_a_config_error():
         solve(ddg(DOM), gen_cycle(6), state)
     with pytest.raises(ConfigError, match="does not belong"):
         solve(ddg(SEPY), gen_cycle(5), state)
+    with pytest.raises(ConfigError, match="does not belong"):
+        Solver(ddg(DOM), gen_cycle(6)).result(state)
 
 
 def test_winners_survive_relabelling():
@@ -128,6 +130,21 @@ def test_principal_variation_replays_to_the_winner():
     assert state.winner == res.winner
 
 
+@pytest.mark.parametrize("n, nodes", [(12, 1_758), (14, 13_895)])
+def test_one_search_answers_every_state_of_a_game(n, nodes):
+    # both sides play from one kept search: the line is the solve's PV, and
+    # the search expands no node that one solve from the root does not
+    cfg, g = ddg(SEPY), gen_cycle(n)
+    search = Solver(cfg, g)
+    state, moves = search.root, []
+    while state.winner is None:
+        moves.append(search.result(state).best_move)
+        state = state.apply(moves[-1])
+    res = solve(cfg, g)
+    assert (tuple(moves), state.winner) == (res.pv, res.winner)
+    assert search.nodes == res.nodes == nodes
+
+
 def test_result_json_shape():
     res = solve(ddg(DOM), gen_path(2))
     blob = res.to_json(gen_path(2), ddg(DOM))
@@ -142,7 +159,7 @@ def test_result_json_shape():
 def _key(state):
     """The solver's memo key of a state's position."""
     vp, vb, _dp, _db, actor, sel = state.position()
-    return _Solver(state.rules)._key(vp, vb, actor, sel)
+    return Solver(state.config, state.graph)._key(vp, vb, actor, sel)
 
 
 def test_palette_twins_share_keys_in_ddg():
@@ -213,8 +230,7 @@ def test_key_ignores_history_order():
 
 def test_turn_bits_of_long_turns_stay_apart():
     # a (17:1) turn reaches sel = 16, one bit wider than a 4-bit field
-    rules = new_game(ddg(DOM, d=17), gen_path(2)).rules
-    solver = _Solver(rules)
+    solver = Solver(ddg(DOM, d=17), gen_path(2))
     keys = {solver._key(0, 0, actor, sel) for actor in (DOM, SEPY) for sel in range(18)}
     assert len(keys) == 2 * 18
 
@@ -277,10 +293,9 @@ def test_every_memo_entry_holds_its_positions_value(corpus):
               else [_SYMMETRIC[corpus]])
     for g in graphs:
         for cfg in (*_MEMO_CONFIGS, ddg(DOM, s=2)):
-            root = new_game(cfg, g)
-            solver = _Solver(root.rules)
-            solver.value(*root.position())
-            oracle = _Solver(root.rules, use_memo=False)
+            solver = Solver(cfg, g)
+            solver.value(*solver.root.position())
+            oracle = Solver(cfg, g, use_memo=False)
             for key, value in solver.memo.items():
                 pos = _decoded_entry(key, g)
                 assert oracle.value(*pos) == value, (cfg, g.edges(), pos)
@@ -314,7 +329,7 @@ def _keys_and_orbits(cfg, g, seed):
     edges = set(g.edges())
     group = [p for p in itertools.permutations(range(g.n))
              if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in edges)]
-    solver = _Solver(new_game(cfg, g).rules)
+    solver = Solver(cfg, g)
     positions = _reachable_positions(cfg, g, random.Random(seed))
     return [(solver._key(vp, vb, actor, sel),
              _orbit_label(group, cfg.variant == "ddg", (vp, vb, dp, db, actor, sel)))
@@ -343,10 +358,11 @@ def test_key_is_sound_on_a_truncated_group(cfg):
     assert len(keys) < len(pairs)
 
 
-def test_vertex_cap_enforced():
+def test_vertex_cap_enforced(monkeypatch):
     with pytest.raises(ResourceLimitError, match="vertices"):
         solve(ddg(DOM), gen_cycle(15))
-    assert solve(ddg(DOM), gen_cycle(15), vertex_cap=15).winner == SEPY
+    monkeypatch.setenv("DOMGAME_STATE_CAP", "15")
+    assert solve(ddg(DOM), gen_cycle(15)).winner == SEPY
 
 
 def test_state_cap_env(monkeypatch):
@@ -359,10 +375,11 @@ def test_state_cap_env(monkeypatch):
 
 @pytest.mark.parametrize("n", [7, 16, 17, 24])
 @pytest.mark.parametrize("variant", ["ddg", "bdg"])
-def test_key_tables_match_the_images_they_stand_for(n, variant):
+def test_key_tables_match_the_images_they_stand_for(n, variant, monkeypatch):
     # two half-width tables up to n = 16, byte-wide chunks past it
+    monkeypatch.setenv("DOMGAME_STATE_CAP", str(n))
     g = _shuffled(gen_cycle(n), n)
-    solver = _Solver(new_game(GameConfig(variant, DOM), g).rules)
+    solver = Solver(GameConfig(variant, DOM), g)
     assert {len(tables) for tables in solver.images} == {2 if n <= 16 else -(-n // 8)}
     group = [tuple(range(n)), *automorphisms(g, 2 * n)]
     rng = random.Random(n)
@@ -380,12 +397,13 @@ def test_key_tables_match_the_images_they_stand_for(n, variant):
             least | (actor == DOM) << (2 * n) | sel << (2 * n + 1)
 
 
-def test_wide_graphs_keep_small_key_tables():
+def test_wide_graphs_keep_small_key_tables(monkeypatch):
     # with two 12-bit tables for each of its 48 automorphisms, this solve
     # peaked at 14.5 MiB
+    monkeypatch.setenv("DOMGAME_STATE_CAP", "24")
     tracemalloc.start()
     try:
-        assert solve(ddg(DOM), gen_cycle(24), vertex_cap=24).winner == SEPY
+        assert solve(ddg(DOM), gen_cycle(24)).winner == SEPY
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -394,9 +412,8 @@ def test_wide_graphs_keep_small_key_tables():
 
 def test_entry_cap_fails_fast(monkeypatch):
     cfg, g = ddg(SEPY), gen_cycle(8)
-    root = new_game(cfg, g)
-    uncapped = _Solver(root.rules)
-    uncapped.value(*root.position())
+    uncapped = Solver(cfg, g)
+    uncapped.value(*uncapped.root.position())
     assert len(uncapped.memo) > 10
     monkeypatch.setattr(solver, "DEFAULT_ENTRY_CAP", 10)
     with pytest.raises(ResourceLimitError, match="entries"):
