@@ -28,14 +28,6 @@ from .graphs import (
 from .solver import solve, verify_strategy
 
 
-def _ddg(starter, pass_rights="none", d=1, s=1) -> GameConfig:
-    return GameConfig(variant=DDG, starter=starter, d=d, s=s, pass_rights=pass_rights)
-
-
-def _bdg(starter) -> GameConfig:
-    return GameConfig(variant=BDG, starter=starter)
-
-
 def _check(cond, message):
     if not cond:
         raise AssertionError(message)
@@ -61,10 +53,10 @@ def crit_cycles() -> str:
     strategy is certified (winning within four plies up to n = 12)."""
     for n in (8, 9, 10, 11):
         g = gen_cycle(n)
-        res = solve(_ddg(DOM), g)
+        res = solve(GameConfig(DDG, DOM), g)
         _check(res.winner == SEPY, f"C{n} Dom-start solved as {res.winner}")
     for n in range(8, 13):
-        rep = verify_strategy("sepy-cycle", SEPY, _ddg(DOM), gen_cycle(n))
+        rep = verify_strategy("sepy-cycle", SEPY, GameConfig(DDG, DOM), gen_cycle(n))
         _check(rep.verified, f"cycle strategy failed on C{n}")
         _check(rep.max_plies <= 4, f"cycle strategy needed {rep.max_plies} plies on C{n}")
     return "C8..C11 solved Sepy-win; strategy certified on C8..C12 within 4 plies"
@@ -75,13 +67,13 @@ def crit_cycles() -> str:
 def crit_ons_connected() -> str:
     """Sepy-start on a connected graph: Dom wins, and opposite-neighbor play
     is a certified winning strategy, over the whole n <= 6 corpus."""
-    count = _certified("ons", DOM, _ddg(SEPY), corpus("connected:6"))
+    count = _certified("ons", DOM, GameConfig(DDG, SEPY), corpus("connected:6"))
     return f"{count} connected graphs: solver Dom-win and ons certified"
 
 
 def crit_onsp_pass() -> str:
     """Same corpus with Sepy allowed to pass (never in the first move)."""
-    count = _certified("onsp", DOM, _ddg(SEPY, pass_rights=SEPY), corpus("connected:6"))
+    count = _certified("onsp", DOM, GameConfig(DDG, SEPY, pass_rights=SEPY), corpus("connected:6"))
     return f"{count} connected graphs with Sepy passes: solver Dom-win and onsp certified"
 
 
@@ -102,10 +94,10 @@ def _two_component_unions(total: int):
 def crit_dom_pass_unions() -> str:
     """Dom's pass rights beat every two-component union (total n <= 8) in the
     Sepy-start game, and the C4+C8 Dom-start game with pass rights."""
-    _certified("dom-pass", DOM, _ddg(DOM, pass_rights=DOM),
+    _certified("dom-pass", DOM, GameConfig(DDG, DOM, pass_rights=DOM),
                [disjoint_union(gen_cycle(4), gen_cycle(8))])
-    count = _certified("dom-pass", DOM, _ddg(SEPY, pass_rights=DOM), _two_component_unions(8),
-                       solved=False)
+    count = _certified("dom-pass", DOM, GameConfig(DDG, SEPY, pass_rights=DOM),
+                       _two_component_unions(8), solved=False)
     return f"C4+C8 Dom-start certified; {count} Sepy-start unions certified"
 
 
@@ -113,9 +105,9 @@ def crit_c4c8_passing() -> str:
     """Pass rights flip the C4+C8 Sepy-start game: Sepy-win with them,
     Dom-win without."""
     g = disjoint_union(gen_cycle(4), gen_cycle(8))
-    with_pass = solve(_ddg(SEPY, pass_rights=SEPY), g).winner
+    with_pass = solve(GameConfig(DDG, SEPY, pass_rights=SEPY), g).winner
     _check(with_pass == SEPY, f"with Sepy passes solved as {with_pass}")
-    without = solve(_ddg(SEPY), g).winner
+    without = solve(GameConfig(DDG, SEPY), g).winner
     _check(without == DOM, f"without passes solved as {without}")
     return "C4+C8 Sepy-start: sepy with pass rights, dom without"
 
@@ -129,7 +121,7 @@ def crit_safe_start() -> str:
     fixtures = [gen_complete(n) for n in range(2, 7)]
     fixtures += [gen_path(n) for n in range(2, 8)]
     bulk = [g for g in corpus("connected:6") if nested_pair(g) is not None]
-    count = _certified("dom-start-safe", DOM, _ddg(DOM), fixtures + bulk)
+    count = _certified("dom-start-safe", DOM, GameConfig(DDG, DOM), fixtures + bulk)
     return f"{count} graphs with nested neighborhoods: certified and solver-agreed"
 
 
@@ -138,7 +130,7 @@ def crit_safe_start() -> str:
 def crit_subdivision() -> str:
     """Triple subdivisions of min-degree-2 graphs are Sepy wins when Dom
     starts; the explicit strategy is certified on C3, C4, K4 bases."""
-    cfg = _ddg(DOM)
+    cfg = GameConfig(DDG, DOM)
     g9, _ = subdivide3(gen_cycle(3))
     res = solve(cfg, g9)
     _check(res.winner == SEPY, f"C3 subdivision solved as {res.winner}")
@@ -155,7 +147,7 @@ def crit_biased_two_one() -> str:
     """Two selections per Dom turn beat every isolate-free graph: strategy
     certified on n <= 6 (both starts), solver agreement there and on larger
     fixtures up to n = 10."""
-    count = sum(_certified("biased-dom", DOM, _ddg(start, d=2, s=1), corpus("isolatefree:6"))
+    count = sum(_certified("biased-dom", DOM, GameConfig(DDG, start, d=2), corpus("isolatefree:6"))
                 for start in (DOM, SEPY))
     fixtures = [
         gen_cycle(7), gen_cycle(8), gen_cycle(10), gen_path(10),
@@ -166,7 +158,7 @@ def crit_biased_two_one() -> str:
     ]
     for g in fixtures:
         for start in (DOM, SEPY):
-            cfg = _ddg(start, d=2, s=1)
+            cfg = GameConfig(DDG, start, d=2)
             _check(solve(cfg, g).winner == DOM,
                    f"(2:1) fixture {emit_graph6(g)} {start}-start not Dom-win")
     return f"{count} corpus cases certified; {len(fixtures)} fixtures to n=10 solver-agreed"
@@ -178,7 +170,7 @@ def crit_bdg_perfect_matching() -> str:
     """Matching play wins the bicolored game on every isolate-free graph with
     a perfect matching, n in {2, 4, 6}, both starts."""
     graphs = corpus("perfectmatching:6")
-    count = sum(_certified("bdg-matching", DOM, _bdg(start), graphs, solved=False)
+    count = sum(_certified("bdg-matching", DOM, GameConfig(BDG, start), graphs, solved=False)
                 for start in (DOM, SEPY))
     return f"{count} perfect-matching cases certified"
 
@@ -187,13 +179,13 @@ def crit_bdg_general() -> str:
     """The matching-based rules win the bicolored game on every isolate-free
     graph: certified on n <= 6 both starts, solver agreement there and on 100
     seeded random graphs up to n = 10."""
-    count = sum(_certified("bdg-general", DOM, _bdg(start), corpus("isolatefree:6"))
+    count = sum(_certified("bdg-general", DOM, GameConfig(BDG, start), corpus("isolatefree:6"))
                 for start in (DOM, SEPY))
     rng = random.Random(20260810)
     for i in range(100):
         g = random_isolate_free(rng.randrange(2, 11), rng)
         start = DOM if i % 2 == 0 else SEPY
-        _check(solve(_bdg(start), g).winner == DOM,
+        _check(solve(GameConfig(BDG, start), g).winner == DOM,
                f"random bicolored fixture {i} ({emit_graph6(g)}) not Dom-win")
     return f"{count} corpus cases certified; 100 random graphs to n=10 solver-agreed"
 

@@ -211,9 +211,9 @@ class Rules:
         return vp, vb, dp, db, other, 0, None
 
     def resolve_incoming(self, vp, vb, dp, db, actor):
-        """(actor', terminal_winner_or_None) for a new turn of actor; skips
-        stuck bicolored players and detects the bicolored end."""
-        if self.ddg or self.has_select(vp, vb, dp, db, actor):
+        """(actor', terminal_winner_or_None) for a new turn of actor in the
+        bicolored game; skips a stuck player and detects the end."""
+        if self.has_select(vp, vb, dp, db, actor):
             return actor, None
         other = other_player(actor)
         if self.has_select(vp, vb, dp, db, other):
@@ -365,17 +365,8 @@ class GameState:
 
     def legal_moves(self) -> list[Move]:
         """The legal moves in canonical order (vertex ascending, the actor's
-        colors in order, the pass last), found without building children."""
-        if self.winner is not None:
-            return []
-        colors = self.rules.colors[self.actor]
-        moves = [selection(v, c) for v in bits(self.uncolored_mask()) for c in colors
-                 if self.select_legal(v, c)]
-        if self.rules.pass_child(*self.position()) is not None:
-            moves.append(PASS)
-        if not moves:
-            raise EngineInvariantError("ongoing state with no legal move for the actor")
-        return moves
+        colors in order, the pass last), read off the kernel's children."""
+        return [PASS if v is None else selection(v, c) for v, c, _child in self._expand_all()]
 
     def children(self) -> list[tuple[Move, "GameState"]]:
         """(move, successor) for every legal move, in ``legal_moves`` order."""

@@ -232,12 +232,12 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
 
 
 def random_isolate_free(n: int, rng: random.Random) -> Graph:
-    """Seeded Erdos-Renyi draw with edge probability 1/2, resampled (then
-    patched) to kill isolates."""
+    """Seeded Erdos-Renyi draw with edge probability 1/2, resampled until it
+    has no isolated vertex.  A draw has one with probability at most 1/2
+    (reached at n = 2 and 3), so the expected number of draws is at most 2."""
     if n < 2:
         raise GraphError("need at least 2 vertices for an isolate-free graph")
-    g = Graph(n)
-    for _ in range(200):
+    while True:
         g = Graph(n, [
             (u, v)
             for u in range(n)
@@ -246,12 +246,6 @@ def random_isolate_free(n: int, rng: random.Random) -> Graph:
         ])
         if not g.has_isolates():
             return g
-    patched = set(g.edges())
-    for v in range(n):
-        if not g.adj[v]:
-            u = (v + 1) % n
-            patched.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(patched))
 
 
 # --- canonical forms and enumeration -------------------------------------

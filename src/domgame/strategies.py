@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 from .engine import (
     BDG,
@@ -32,7 +31,7 @@ from .matching import MatchingStructure, matching_plan
 
 
 class NotApplicable(ValueError):
-    """The strategy's preconditions (variant, role, graph shape) are unmet."""
+    """The strategy's preconditions (game, seat, graph shape) are unmet."""
 
 
 class StrategyViolation(RuntimeError):
@@ -163,10 +162,8 @@ class Ons(Strategy):
     role = DOM
 
     def prepare(self, config, graph, *, submap=None, seed=None):
-        _require(config.variant == DDG, "opposite-neighbor play is for the disjoint game")
-        _require(not config.biased, "opposite-neighbor play assumes one selection per turn")
-        _require(config.starter == SEPY, "opposite-neighbor play assumes Sepy starts")
-        _require(config.pass_rights == "none", "use the pass-aware variant when passing is allowed")
+        _require(config == GameConfig(DDG, SEPY),
+                 "opposite-neighbor play is for the Sepy-start disjoint game without passes")
         _require(is_connected(graph), "opposite-neighbor play assumes a connected graph")
         return None
 
@@ -187,9 +184,8 @@ class Onsp(Ons):
     sid = "onsp"
 
     def prepare(self, config, graph, *, submap=None, seed=None):
-        _require(config.variant == DDG, "pass-aware opposite-neighbor play is for the disjoint game")
-        _require(not config.biased, "pass-aware opposite-neighbor play assumes one selection per turn")
-        _require(config.starter == SEPY, "pass-aware opposite-neighbor play assumes Sepy starts")
+        _require(replace(config, pass_rights="none") == GameConfig(DDG, SEPY),
+                 "pass-aware opposite-neighbor play is for the Sepy-start disjoint (1:1) game")
         _require(is_connected(graph), "pass-aware opposite-neighbor play assumes a connected graph")
         return None
 
@@ -202,9 +198,8 @@ class DomStartSafe(Strategy):
     role = DOM
 
     def prepare(self, config, graph, *, submap=None, seed=None):
-        _require(config.variant == DDG, "safe-start play is for the disjoint game")
-        _require(not config.biased, "safe-start play assumes one selection per turn")
-        _require(config.starter == DOM, "safe-start play assumes Dom starts")
+        _require(replace(config, pass_rights="none") == GameConfig(DDG, DOM),
+                 "safe-start play is for the Dom-start disjoint (1:1) game")
         _require(is_connected(graph), "safe-start play assumes a connected graph")
         v = nested_pair(graph)
         _require(v is not None, "no pair of nested closed neighborhoods")
@@ -216,7 +211,6 @@ class DomStartSafe(Strategy):
         return _answer(state)
 
 
-@lru_cache(maxsize=None)
 def _dom_win_opening(graph: Graph) -> Move | None:
     """First move of a winning line in the least Dom-win component of the
     Dom-start no-pass disjoint game, or None if no component is Dom-win."""
@@ -241,8 +235,8 @@ class DomPass(Strategy):
     role = DOM
 
     def prepare(self, config, graph, *, submap=None, seed=None):
-        _require(config.variant == DDG, "pass-based play is for the disjoint game")
-        _require(config.pass_rights == DOM, "pass-based play needs Dom's pass rights")
+        _require(config == GameConfig(DDG, config.starter, pass_rights=DOM),
+                 "pass-based play is for the disjoint game with Dom's pass rights")
         opening = None
         if config.starter == DOM:
             opening = _dom_win_opening(graph)
@@ -388,11 +382,8 @@ class BdgMatching(Strategy):
                 continue
             if state.select_legal(v, PURPLE):
                 return selection(v, PURPLE)
-        # partner of an earlier Sepy vertex; keeps one-vertex-per-edge intact
-        for v in bits(state.uncolored_mask()):
-            p = ctx.partner[v]
-            if p >= 0 and state.vmask[BLUE] >> p & 1 and state.select_legal(v, PURPLE):
-                return selection(v, PURPLE)
+        # the partner of a blue vertex was tried by the reply right after
+        # Sepy colored it, and purple legality only shrinks after that
         raise StrategyViolation("no matching-play move available", state)
 
     def check_invariants(self, state, ctx):
@@ -474,10 +465,8 @@ class SepyCycle(Strategy):
     history_independent = False  # decisions hinge on the move order in the history
 
     def prepare(self, config, graph, *, submap=None, seed=None):
-        _require(config.variant == DDG, "cycle play is for the disjoint game")
-        _require(not config.biased, "cycle play assumes one selection per turn")
-        _require(config.starter == DOM, "cycle play assumes Dom starts")
-        _require(config.pass_rights == "none", "cycle play assumes no passing")
+        _require(config == GameConfig(DDG, DOM),
+                 "cycle play is for the Dom-start disjoint game without passes")
         _require(graph.n >= 8 and is_connected(graph)
                  and all(graph.degree(v) == 2 for v in range(graph.n)),
                  "graph is not a cycle of length at least 8")
@@ -508,10 +497,8 @@ class SepySubdiv(Strategy):
     history_independent = False  # reads Dom's opening from the history
 
     def prepare(self, config, graph, *, submap=None, seed=None):
-        _require(config.variant == DDG, "subdivision play is for the disjoint game")
-        _require(not config.biased, "subdivision play assumes one selection per turn")
-        _require(config.starter == DOM, "subdivision play assumes Dom starts")
-        _require(config.pass_rights == "none", "subdivision play assumes no passing")
+        _require(config == GameConfig(DDG, DOM),
+                 "subdivision play is for the Dom-start disjoint game without passes")
         _require(isinstance(submap, SubdivisionMap), "needs the subdivision bookkeeping of the graph")
         sub, _ = subdivide3(submap.base)
         _require(sub == graph, "graph does not match the subdivision bookkeeping")
@@ -560,35 +547,20 @@ class RandomStrategy(Strategy):
         return moves[rng.randrange(len(moves))]
 
 
-class GreedyWin(Strategy):
+class GreedyWin(RandomStrategy):
     """An immediately winning selection when one exists, otherwise random."""
 
     sid = "greedy"
-    role = None
-
-    def prepare(self, config, graph, *, submap=None, seed=None):
-        return 0 if seed is None else seed
 
     def move(self, state, ctx):
         win = state.immediate_win()
         if win is not None:
             return win
-        return RandomStrategy.move(self, state, ctx)
+        return super().move(state, ctx)
 
 
-_REGISTRY = {
-    "ons": Ons,
-    "onsp": Onsp,
-    "dom-start-safe": DomStartSafe,
-    "dom-pass": DomPass,
-    "biased-dom": BiasedDom,
-    "bdg-matching": BdgMatching,
-    "bdg-general": BdgGeneral,
-    "sepy-cycle": SepyCycle,
-    "sepy-subdiv": SepySubdiv,
-    "random": RandomStrategy,
-    "greedy": GreedyWin,
-}
+_REGISTRY = {cls.sid: cls for cls in (Ons, Onsp, DomStartSafe, DomPass, BiasedDom, BdgMatching,
+                                      BdgGeneral, SepyCycle, SepySubdiv, RandomStrategy, GreedyWin)}
 
 
 def strategy_ids() -> list[str]:

@@ -33,6 +33,7 @@ from domgame.engine import (
 )
 from domgame.graphs import (
     Graph,
+    bits,
     disjoint_union,
     enumerate_isolate_free_graphs,
     gen_cycle,
@@ -139,6 +140,21 @@ def test_legal_moves_match_the_kernel_children(n):
         for _mv, child in children:
             if child.winner is not None:
                 assert child.legal_moves() == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_select_legal_matches_the_kernel_children(n):
+    # the strategies weigh single selections through select_legal; listed
+    # over every uncolored vertex and actor color, plus the pass, it must
+    # give the kernel's children in the kernel's order
+    for cfg, g, state, _children in _reachable(n):
+        listed = [Move(v, c) for v in bits(state.uncolored_mask())
+                  for c in state.rules.colors[state.actor] if state.select_legal(v, c)]
+        if state.rules.pass_child(*state.position()) is not None:
+            listed.append(PASS)
+        kernel = [PASS if v is None else Move(v, c)
+                  for v, c, _child in state.rules.expand(*state.position())]
+        assert listed == kernel, (cfg, g.edges(), state.history)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

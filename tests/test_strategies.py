@@ -2,6 +2,7 @@
 the strategies on the paper's corpora, and ``test_solver.py`` checks every
 certification on the n <= 6 corpus against the solver."""
 
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from domgame.engine import (
     PASS,
     PURPLE,
     SEPY,
+    ConfigError,
+    GameConfig,
     Move,
     new_game,
 )
@@ -36,6 +39,7 @@ from domgame.strategies import (
     StrategyViolation,
     _every_colored_has_opposite_neighbor,
     get_strategy,
+    strategy_ids,
 )
 
 
@@ -418,3 +422,53 @@ def test_registry_aliases():
             get_strategy(old)
         assert main(["verify", "--strategy", old, "--role", "sepy",
                      "--graph", "cycle:8", "--start", "dom"]) == 1
+
+
+# --- applicability ------------------------------------------------------------------------------
+
+def _valid_configs():
+    out = []
+    for variant, starter, d, s, rights in itertools.product(
+            ("ddg", "bdg"), (DOM, SEPY), (1, 2, 3), (1, 2), ("none", DOM, SEPY)):
+        try:
+            out.append(GameConfig(variant, starter, d=d, s=s, pass_rights=rights))
+        except ConfigError:
+            pass
+    return out
+
+
+VALID_CONFIGS = _valid_configs()
+RIGHTS = ("none", DOM, SEPY)
+BDG_CONFIGS = {bdg(start, pass_rights=r) for start in (DOM, SEPY) for r in RIGHTS}
+C3_SUB, C3_SUBMAP = subdivide3(gen_cycle(3))
+
+# strategy id -> (graph, prepare keywords, the configs prepare accepts there)
+APPLICABILITY = {
+    "ons": (gen_cycle(8), {}, {ddg(SEPY)}),
+    "onsp": (gen_cycle(8), {}, {ddg(SEPY, pass_rights=r) for r in RIGHTS}),
+    "dom-start-safe": (gen_path(4), {}, {ddg(DOM, pass_rights=r) for r in RIGHTS}),
+    "dom-pass": (gen_cycle(4), {}, {ddg(start, pass_rights=DOM) for start in (DOM, SEPY)}),
+    "biased-dom": (gen_cycle(8), {}, {ddg(start, d=d, pass_rights=r) for start in (DOM, SEPY)
+                                      for d in (2, 3) for r in ("none", SEPY)}),
+    "bdg-matching": (gen_cycle(8), {}, BDG_CONFIGS),
+    "bdg-general": (gen_cycle(8), {}, BDG_CONFIGS),
+    "sepy-cycle": (gen_cycle(8), {}, {ddg(DOM)}),
+    "sepy-subdiv": (C3_SUB, {"submap": C3_SUBMAP}, {ddg(DOM)}),
+    "random": (gen_cycle(8), {}, set(VALID_CONFIGS)),
+    "greedy": (gen_cycle(8), {}, set(VALID_CONFIGS)),
+}
+
+
+@pytest.mark.parametrize("sid", strategy_ids())
+def test_each_strategy_accepts_exactly_its_games(sid):
+    assert len(VALID_CONFIGS) == 32
+    graph, keywords, expected = APPLICABILITY[sid]
+    strat = get_strategy(sid)
+    accepted = set()
+    for cfg in VALID_CONFIGS:
+        try:
+            strat.prepare(cfg, graph, **keywords)
+        except NotApplicable:
+            continue
+        accepted.add(cfg)
+    assert accepted == expected
