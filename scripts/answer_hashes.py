@@ -4,17 +4,21 @@ them.
     python3 scripts/answer_hashes.py        # isolate-free graphs, 2 <= n <= 6
     python3 scripts/answer_hashes.py 4      # the same for n <= 4
 
-Two lines, each "<what> <items> <digest>"; the digest is the first 16 hex
-digits of the SHA-256 of the items' JSON lines, in order:
+Two digest lines, each "<what> <items> <digest>"; the digest is the first
+16 hex digits of the SHA-256 of the items' JSON lines, in order:
 
 - ``verify``: ``VerificationReport.to_json()`` of every certification that
   applies, on every graph, under the 16 rule sets with (d:s) = (1:1) or
   (2:1), of the 9 strategies that play Dom on these graphs (``random`` and
   ``greedy`` with their default seed).  ``branches`` is hashed too, so the
   digest also pins the work the walk does.
-- ``solve``: (config, graph6, winner, nodes, best move, PV) of ``solve`` on
-  every graph under 12 configs that cover every variant, starter, pass
-  right and bias.
+- ``solve``: (config, graph6, winner, best move, PV) of ``solve`` on every
+  graph under 12 configs that cover every variant, starter, pass right and
+  bias.  These are the answers alone: they do not depend on the order in
+  which the solver searches.
+
+A third line, "solve-nodes <items> <total nodes>", gives the work of those
+solves, which the search order does change.
 """
 
 import argparse
@@ -73,12 +77,14 @@ def verify_records(graphs):
 
 
 def solve_records(graphs):
+    """(nodes, answers) of every solve."""
     for cfg in SOLVE_CONFIGS:
         for g in graphs:
             res = solve(cfg, g)
             best = res.best_move
-            yield [cfg.to_json(), emit_graph6(g), res.winner, res.nodes,
-                   None if best is None else best.to_json(), [m.to_json() for m in res.pv]]
+            yield res.nodes, [cfg.to_json(), emit_graph6(g), res.winner,
+                              None if best is None else best.to_json(),
+                              [m.to_json() for m in res.pv]]
 
 
 def main():
@@ -89,9 +95,10 @@ def main():
         graphs = corpus(f"isolatefree:{ap.parse_args().bound}")
     except GraphError as exc:
         ap.error(str(exc))
-    for what, records in (("verify", verify_records(graphs)), ("solve", solve_records(graphs))):
-        count, hexdigest = digest(records)
-        print(what, count, hexdigest)
+    print("verify", *digest(verify_records(graphs)))
+    solves = list(solve_records(graphs))
+    print("solve", *digest(answers for _nodes, answers in solves))
+    print("solve-nodes", len(solves), sum(nodes for nodes, _answers in solves))
 
 
 if __name__ == "__main__":

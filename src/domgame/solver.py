@@ -9,9 +9,19 @@ one for each call.  Games of this family always end with a winner, so no
 scores are needed and the first winning child cuts the branch.  Each
 position is expanded once by ``Rules.expand`` into plain tuples; a child
 that wins on the spot for the mover is taken before any open child is
-searched, and the open ones are then searched in canonical order.  A
-win/lose value does not depend on that order, and the best move and PV are
-still the first child in canonical order with the right value.
+searched.
+
+The open children are then searched in the order of the paper's move
+rules, each group in canonical order.  Dom first answers the opponent's
+latest selection (v, c) with the other color on a neighbour of v, as in
+the Sepy-start game; Sepy first colors a vertex beside the colored ones, as
+in the Sepy wins on long cycles and triple subdivisions.  The selection
+that led to a position is a search argument, the hint: a child that
+continues its actor's turn inherits the hint, so Dom's second selection of
+a (2:1) turn still answers Sepy's.  A win/lose value does not depend on
+that order, so the hint is not part of the key, and the unmemoized search
+orders its children alike.  The best move and PV are still the first child
+in canonical order with the winner's value, whatever the search order.
 
 The transposition table is keyed up to symmetry.  Once per game the solver
 takes at most 2n automorphisms of the graph (``graphs.automorphisms``; 2n is
@@ -40,7 +50,9 @@ a position of the same value, whichever kind stored it: an exact
 transposition (the same coloring by another move order) hits without
 scanning any image, and an own encoding may also meet the folded key of an
 image that a truncated group would have keyed apart.  The unmemoized search
-computes no keys and no automorphisms and serves as the independent oracle.
+computes no keys and no automorphisms, so it checks the keys and the table;
+it searches in the same order, so the order itself is checked against a
+plain minimax over independent reference rules in the tests.
 
 ``verify_strategy`` walks the full game tree of ``GameState`` with one side
 pinned to a strategy and the other ranging over every legal move (passes
@@ -173,6 +185,8 @@ class Solver:
         rules = self.root.rules
         self.expand = rules.expand
         self.n = graph.n
+        self.full = graph.full_mask
+        self.nbr = graph.nbr_mask
         self.ddg = rules.ddg
         self.use_memo = use_memo
         self.memo: dict[int, str] = {}
@@ -189,18 +203,23 @@ class Solver:
         shares, until the game ends.  A game lasts at most 2n plies: every
         ply but a pass colors a vertex, and only one player ever holds a
         pass right, so the other's selection follows each pass.  ``nodes``
-        counts every position this search has expanded so far."""
+        counts every position this search has expanded so far.  The search
+        from state takes the hint that a search from the root would pass it,
+        read off the history: the latest move of the player not to move."""
         state = self.root if state is None else state
         if state.graph != self.root.graph or state.config != self.root.config:
             raise ConfigError("state does not belong to the given graph and config")
         if state.winner is not None:
             return SolveResult(state.winner, self.nodes, ())
         cur = state.position()
-        winner = self.value(*cur)
+        hint = next(((mv.vertex, mv.color) for who, mv in reversed(state.history)
+                     if who != state.actor), (None, None))
+        winner = self.value(*cur, *hint)
         pv = []
         while True:
             for v, c, child in self.expand(*cur):
-                w = child[6] if child[6] is not None else self.value(*child[:6])
+                nhint = hint if child[4] == cur[4] else (v, c)
+                w = child[6] if child[6] is not None else self.value(*child[:6], *nhint)
                 if w == winner:
                     break
             else:
@@ -208,7 +227,7 @@ class Solver:
             pv.append(PASS if v is None else Move(v, c))
             if child[6] is not None:
                 return SolveResult(winner, self.nodes, tuple(pv))
-            cur = child[:6]
+            cur, hint = child[:6], nhint
 
     # -- search -------------------------------------------------------------
 
@@ -261,7 +280,13 @@ class Solver:
             own = vp | vb << n
         return own | (actor == DOM) << (2 * n) | sel << (2 * n + 1)
 
-    def value(self, vp, vb, dp, db, actor, sel) -> str:
+    def value(self, vp, vb, dp, db, actor, sel, hv=None, hc=None) -> str:
+        """The winner of the position (vp, vb, dp, db, actor, sel) under
+        optimal play.  (hv, hc) is the hint: the vertex and color of the
+        opponent's latest move, the selection that handed the actor this
+        turn, or None after a pass and before the first move.  It only
+        orders the search (see the module docstring), so it is not part of
+        the key, and a child that continues the actor's turn inherits it."""
         if self.use_memo:
             # an exact transposition finds its entry without folding
             own = self._own(vp, vb, actor, sel)
@@ -281,17 +306,40 @@ class Solver:
         children = self.expand(vp, vb, dp, db, actor, sel)
         if not children:
             raise EngineInvariantError("ongoing position with no moves")
-        # an immediate win ends the search; only then recurse, in order
+        # an immediate win ends the search; only then recurse
         result = other_player(actor)
         for _v, _c, child in children:
             if child[6] == actor:
                 result = actor
                 break
         else:
-            for _v, _c, (cvp, cvb, cdp, cdb, ca, cs, winner) in children:
-                if winner is None and self.value(cvp, cvb, cdp, cdb, ca, cs) == actor:
-                    result = actor
-                    break
+            # the front first: Dom's children in the other color beside the
+            # hint's vertex, Sepy's beside the colored vertices; then the
+            # rest.  Each sweep keeps canonical order, and a front that holds
+            # every open child is dropped, so that one sweep searches all.
+            free = self.full & ~(vp | vb)
+            if actor == DOM:
+                front = self.nbr[hv] & free if hv is not None else 0
+                # Dom's bicolored purple always differs from Sepy's blue
+                skip = hc if self.ddg else None
+            else:
+                front, skip = (dp | db) & free, None
+            if front == free and skip is None:
+                front = 0
+            if front:
+                for v, c, (cvp, cvb, cdp, cdb, ca, cs, winner) in children:
+                    if winner is None and v is not None and c != skip and front >> v & 1:
+                        if (self.value(cvp, cvb, cdp, cdb, ca, cs, hv, hc) if ca == actor
+                                else self.value(cvp, cvb, cdp, cdb, ca, cs, v, c)) == actor:
+                            result = actor
+                            break
+            if result != actor:
+                for v, c, (cvp, cvb, cdp, cdb, ca, cs, winner) in children:
+                    if winner is None and (v is None or c == skip or not front >> v & 1):
+                        if (self.value(cvp, cvb, cdp, cdb, ca, cs, hv, hc) if ca == actor
+                                else self.value(cvp, cvb, cdp, cdb, ca, cs, v, c)) == actor:
+                            result = actor
+                            break
         if self.use_memo:
             memo[own] = memo[key] = result
             self._check_cap()

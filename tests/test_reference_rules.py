@@ -8,6 +8,11 @@ shares no code and no masks with ``engine.Rules``.  The test walks the full
 game trees of every isolate-free graph on at most five vertices and compares
 the legal moves, the outcome of every move and the domination masks of
 every state reached, each of which must also pass ``assert_state_sound``.
+
+A plain minimax over the reference's moves, with a dict memo on reference
+positions, is the solver's oracle: it searches in canonical order, folds no
+symmetry and takes no hint, so it checks the winners of a search that orders
+its children and folds positions by symmetry, with and without its memo.
 """
 
 import pytest
@@ -15,6 +20,7 @@ import pytest
 from conftest import assert_state_sound, bdg, ddg
 from domgame.engine import BLUE, DOM, PASS, PURPLE, SEPY, Move, new_game
 from domgame.graphs import enumerate_isolate_free_graphs
+from domgame.solver import Solver, solve
 
 
 class Reference:
@@ -103,6 +109,22 @@ def other(player):
     return SEPY if player == DOM else DOM
 
 
+def reference_winner(ref, pos, memo):
+    """The winner of pos under optimal play: the player to move wins when
+    one of the moves wins for that player, and the opponent otherwise."""
+    winner = memo.get(pos)
+    if winner is None:
+        player = pos[1]
+        winner = other(player)
+        for mv in ref.moves(pos):
+            nxt, end, _mono = ref.after(pos, mv)
+            if (end or reference_winner(ref, nxt, memo)) == player:
+                winner = player
+                break
+        memo[pos] = winner
+    return winner
+
+
 def _reference_position(state):
     return (tuple(None if c == -1 else c for c in state.colors), state.actor,
             state.selections_done, bool(state.history))
@@ -153,3 +175,27 @@ def test_engine_matches_reference_rules(name):
                         stack.append(child)
                     else:
                         assert_state_sound(child)
+
+
+@pytest.mark.parametrize("name", _CONFIGS)
+def test_solver_matches_reference_minimax(name):
+    # the root of every graph n <= 5, with and without the memo; every
+    # reachable state for n <= 4, from one kept search
+    cfg = _CONFIGS[name]
+    for n in range(2, 6):
+        for g in enumerate_isolate_free_graphs(n):
+            ref, memo = Reference(cfg, g), {}
+            root = new_game(cfg, g)
+            winner = reference_winner(ref, _reference_position(root), memo)
+            assert solve(cfg, g).winner == solve(cfg, g, use_memo=False).winner == winner, \
+                (name, g.edges())
+            if n > 4:
+                continue
+            search = Solver(cfg, g)
+            stack = [root]
+            while stack:
+                state = stack.pop()
+                assert search.result(state).winner == \
+                    reference_winner(ref, _reference_position(state), memo), \
+                    (name, g.edges(), state.history)
+                stack.extend(child for _mv, child in state.children() if child.winner is None)

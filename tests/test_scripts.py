@@ -62,5 +62,6 @@ def test_answer_hashes_repeat(tmp_path):
             for _ in range(2)]
     assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
     lines = [line.split() for line in runs[0].stdout.splitlines()]
-    assert [(what, count) for what, count, _digest in lines] == [("verify", "542"), ("solve", "120")]
+    assert [(what, count) for what, count, _value in lines] == \
+        [("verify", "542"), ("solve", "120"), ("solve-nodes", "120")]
     assert runs[1].stdout == runs[0].stdout

@@ -130,7 +130,7 @@ def test_principal_variation_replays_to_the_winner():
     assert state.winner == res.winner
 
 
-@pytest.mark.parametrize("n, nodes", [(12, 1_758), (14, 13_895)])
+@pytest.mark.parametrize("n, nodes", [(12, 532), (14, 2_162)])
 def test_one_search_answers_every_state_of_a_game(n, nodes):
     # both sides play from one kept search: the line is the solve's PV, and
     # the search expands no node that one solve from the root does not
