@@ -2,7 +2,8 @@
 strategies in batch, play games, and run the acceptance suite.
 
 JSON results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 usage error, 2 resource limit, 3 strategy not applicable, 4 aborted
+1 usage error, 2 resource limit, 3 strategy not applicable (to any graph of
+a corpus: ``verify --corpus`` skips the graphs it does not fit), 4 aborted
 interactive session.
 """
 
@@ -39,7 +40,7 @@ from .formats import (
 )
 from .graphs import Graph, GraphError, SubdivisionMap, corpus
 from .solver import ResourceLimitError, Solver, solve, verify_strategy
-from .strategies import NotApplicable, StrategyViolation, seat, strategy_ids
+from .strategies import NotApplicable, StrategyViolation, seat, seated, strategy_ids
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -121,12 +122,21 @@ def cmd_verify(args) -> int:
         graphs = [(gr, None) for gr in corpus(args.corpus)]
     else:
         graphs = [_load_graph(args.graph)]
-    all_ok = True
+    strat = seated(args.strategy, args.role)  # a wrong seat fails before any graph
+    verified = []
     for g, submap in graphs:
-        rep = verify_strategy(args.strategy, args.role, config, g, submap=submap)
+        try:
+            rep = verify_strategy(strat, args.role, config, g, submap=submap)
+        except NotApplicable as exc:
+            if not args.corpus:
+                raise
+            print(f"skipped {emit_graph6(g)}: {exc}", file=sys.stderr)
+            continue
         print(json.dumps(rep.to_json()))
-        all_ok = all_ok and rep.verified
-    return EXIT_OK if all_ok else EXIT_USAGE
+        verified.append(rep.verified)
+    if not verified:
+        raise NotApplicable(f"strategy {strat.sid} fits no graph of corpus {args.corpus}")
+    return EXIT_OK if all(verified) else EXIT_USAGE
 
 
 def _human_move(state: GameState) -> Move:

@@ -98,7 +98,7 @@ class GameConfig:
     colors and who may pass, are worked out once, in ``Rules``.
 
     In a biased game Dom colors exactly d vertices per turn (fewer only when
-    he runs out of legal selections) while Sepy colors at most s and may
+    the game ends, as nobody is stranded) while Sepy colors at most s and may
     pass; that pass right is part of the biased rules, so it is in force
     whenever (d, s) != (1, 1) regardless of pass_rights, and it is what lets
     Sepy stop a turn early.  A pass needs pass rights and a colored vertex,
@@ -162,6 +162,13 @@ class Rules:
     "sepy", and in every biased game).  ``turn`` maps each player to the
     data of his turn, (the other player, his selections per turn, his
     colors), so that ``expand`` sets up with one lookup.
+
+    Nobody is stranded in the disjoint game: while nobody has won, both
+    players can select.  Were no uncolored vertex selectable, a colored w
+    with an uncolored neighbour u would lie in N[u], dominated in both
+    colors; otherwise w's neighbours (it has some) are colored, and one has
+    the other color, or N[w] would be monochromatic.  So both colors would
+    dominate every vertex: a Dom win.  This holds inside a component too.
     """
 
     def __init__(self, config: GameConfig, graph: Graph):
@@ -204,21 +211,11 @@ class Rules:
         if not (vp | vb and self.may_pass[actor]):
             return None
         # a pass that leaves the opponent with no selection would stall the
-        # game (reachable only in bicolored corner cases)
+        # game; only the bicolored game strands a player (see the class)
         other = other_player(actor)
         if not self.has_select(vp, vb, dp, db, other):
             return None
         return vp, vb, dp, db, other, 0, None
-
-    def resolve_incoming(self, vp, vb, dp, db, actor):
-        """(actor', terminal_winner_or_None) for a new turn of actor in the
-        bicolored game; skips a stuck player and detects the end."""
-        if self.has_select(vp, vb, dp, db, actor):
-            return actor, None
-        other = other_player(actor)
-        if self.has_select(vp, vb, dp, db, other):
-            return other, None
-        return actor, DOM
 
     def expand(self, vp, vb, dp, db, actor, sel, only=None):
         """The children in canonical order (vertex ascending, the actor's
@@ -266,13 +263,14 @@ class Rules:
                 if winner is None:
                     if ddg and ndp == full and ndb == full:
                         winner = DOM
-                    elif may_continue and self.has_select(nvp, nvb, ndp, ndb, actor):
-                        pass  # same actor continues the turn
-                    elif ddg:
+                    elif may_continue:
+                        pass  # same actor continues the turn: nobody is stranded
+                    elif ddg or self.has_select(nvp, nvb, ndp, ndb, other):
                         nactor, csel = other, 0
+                    elif self.has_select(nvp, nvb, ndp, ndb, actor):
+                        csel = 0  # the bicolored game skips a stuck player
                     else:
-                        nactor, winner = self.resolve_incoming(nvp, nvb, ndp, ndb, other)
-                        csel = 0
+                        nactor, csel, winner = other, 0, DOM  # both are stuck
                 out.append((v, c, (nvp, nvb, ndp, ndb, nactor, csel, winner)))
         if only is None:
             child = self.pass_child(vp, vb, dp, db, actor, sel)
@@ -424,7 +422,7 @@ class GameState:
                     "legal selection made its own closed neighborhood monochromatic"
                 )
         if winner is None:
-            # a disjoint-game turn just changed hands
+            # a disjoint-game turn just changed hands: nobody is stranded (see Rules)
             if (rules.ddg and sel == 0 and not rules.full & ~(vp | vb) & ~(dp & db)
                     and not rules.has_select(vp, vb, dp, db, actor)
                     and rules.pass_child(vp, vb, dp, db, actor, sel) is None):

@@ -145,6 +145,45 @@ def emit_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _size(arg: str, spec: str) -> int:
+    try:
+        size = int(arg)
+    except ValueError:
+        raise GraphError(f"bad generator spec {spec!r}") from None
+    _check_size(size, f"spec {spec!r}")
+    return size
+
+
+def _union(arg: str, spec: str):
+    parts = arg.split("+")
+    if len(parts) < 2:
+        raise GraphError(f"union spec needs at least two parts: {spec!r}")
+    g, _ = resolve_generator_spec(parts[0])
+    for part in parts[1:]:
+        h, _ = resolve_generator_spec(part)
+        _check_size(g.n + h.n, f"spec {spec!r}")
+        g = disjoint_union(g, h)
+    return g, None
+
+
+def _subdiv2(arg: str, spec: str):
+    base, _ = resolve_generator_spec(arg)
+    _check_size(base.n + 2 * base.m, f"spec {spec!r}")
+    return subdivide3(base)
+
+
+# the generator specs by head, a bare name or a name and ':', each building
+# (graph, subdivision map or None) from the rest of the spec and the spec
+GENERATORS = {
+    "petersen": lambda arg, spec: (gen_petersen(), None),
+    "cycle:": lambda arg, spec: (gen_cycle(_size(arg, spec)), None),
+    "path:": lambda arg, spec: (gen_path(_size(arg, spec)), None),
+    "complete:": lambda arg, spec: (gen_complete(_size(arg, spec)), None),
+    "subdiv2:": _subdiv2,
+    "union:": _union,
+}
+
+
 def resolve_generator_spec(spec: str) -> tuple[Graph, SubdivisionMap | None]:
     """Build a graph from a spec string.
 
@@ -154,38 +193,12 @@ def resolve_generator_spec(spec: str) -> tuple[Graph, SubdivisionMap | None]:
     The subdivision map is returned only for a top-level subdiv2 spec.
     """
     spec = spec.strip()
-    if spec == "petersen":
-        return gen_petersen(), None
-    if spec.startswith("union:"):
-        parts = spec[len("union:"):].split("+")
-        if len(parts) < 2:
-            raise GraphError(f"union spec needs at least two parts: {spec!r}")
-        g, _ = resolve_generator_spec(parts[0])
-        for part in parts[1:]:
-            h, _ = resolve_generator_spec(part)
-            _check_size(g.n + h.n, f"spec {spec!r}")
-            g = disjoint_union(g, h)
-        return g, None
-    if spec.startswith("subdiv2:"):
-        base, _ = resolve_generator_spec(spec[len("subdiv2:"):])
-        _check_size(base.n + 2 * base.m, f"spec {spec!r}")
-        sub, smap = subdivide3(base)
-        return sub, smap
-    try:
-        kind, arg = spec.split(":", 1)
-        size = int(arg)
-    except ValueError:
-        raise GraphError(f"bad generator spec {spec!r}") from None
-    _check_size(size, f"spec {spec!r}")
-    if kind == "cycle":
-        return gen_cycle(size), None
-    if kind == "path":
-        return gen_path(size), None
-    if kind == "complete":
-        return gen_complete(size), None
-    raise GraphError(f"unknown generator {kind!r}")
+    name, colon, arg = spec.partition(":")
+    if name + colon not in GENERATORS:
+        raise GraphError(f"unknown generator spec {spec!r}")
+    return GENERATORS[name + colon](arg, spec)
 
 
 def is_generator_spec(text: str) -> bool:
-    prefixes = ("cycle:", "path:", "complete:", "subdiv2:", "union:")
-    return text.strip() == "petersen" or text.strip().startswith(prefixes)
+    name, colon, _arg = text.strip().partition(":")
+    return name + colon in GENERATORS

@@ -250,9 +250,10 @@ class DomPass(Strategy):
             return ctx
         v, c = _anchor(state)
         region = state.graph.component_of(v)
-        if not any(state.select_legal(u, col)
-                   for u in bits(state.uncolored_mask() & region) for col in (PURPLE, BLUE)):
-            return PASS  # no legal selection left in that component
+        if not region & ~(state.dom[PURPLE] & state.dom[BLUE]):
+            # dominated in both colors, the component holds no selection;
+            # otherwise it holds one, as nobody is stranded (see engine.Rules)
+            return PASS
         mv = _ons_search(state, v, c, region)
         if mv is None:
             raise StrategyViolation(
@@ -345,60 +346,6 @@ class BdgPlan:
         return BdgPlan(struct, tuple(partner), centers, ext)
 
 
-def _bdg_partner_reply(state: GameState, plan: BdgPlan) -> Move | None:
-    last = state.last_select
-    if last is None:
-        return None
-    v, c, _actor = last
-    if c != BLUE:
-        return None
-    p = plan.partner[v]
-    if p != -1 and state.select_legal(p, PURPLE):
-        return selection(p, PURPLE)
-    return None
-
-
-class BdgMatching(Strategy):
-    """Perfect-matching play: answer Sepy inside his matching edge when
-    legal, otherwise take a vertex of an untouched edge."""
-
-    sid = "bdg-matching"
-    role = DOM
-
-    def prepare(self, config, graph, *, submap=None, seed=None):
-        _require(config.variant == BDG, "matching play is for the bicolored game")
-        plan = BdgPlan.build(graph)
-        _require(not plan.matching.external, "graph has no perfect matching")
-        return plan
-
-    def move(self, state, ctx):
-        mv = _bdg_partner_reply(state, ctx)
-        if mv is not None:
-            return mv
-        colored = state.vmask[PURPLE] | state.vmask[BLUE]
-        for v in bits(state.uncolored_mask()):
-            p = ctx.partner[v]
-            if p < 0 or colored >> p & 1:
-                continue
-            if state.select_legal(v, PURPLE):
-                return selection(v, PURPLE)
-        # the partner of a blue vertex was tried by the reply right after
-        # Sepy colored it, and purple legality only shrinks after that
-        raise StrategyViolation("no matching-play move available", state)
-
-    def check_invariants(self, state, ctx):
-        _check_one_purple_per_edge(state, ctx)
-
-
-def _check_one_purple_per_edge(state: GameState, plan: BdgPlan):
-    vp = state.vmask[PURPLE]
-    for u, v in plan.matching.pairs:
-        if vp >> u & 1 and vp >> v & 1:
-            raise StrategyViolation(
-                f"both endpoints of matching edge ({u},{v}) are purple", state
-            )
-
-
 class BdgGeneral(Strategy):
     """Bicolored play from a maximum matching: partner replies first, then
     the least matching vertex that opens star edges at their center, never
@@ -413,9 +360,11 @@ class BdgGeneral(Strategy):
         return BdgPlan.build(graph)
 
     def move(self, state, ctx):
-        mv = _bdg_partner_reply(state, ctx)
-        if mv is not None:
-            return mv
+        last = state.last_select
+        if last is not None and last[1] == BLUE:  # the partner reply
+            p = ctx.partner[last[0]]
+            if p != -1 and state.select_legal(p, PURPLE):
+                return selection(p, PURPLE)
         g = state.graph
         vp, vb = state.vmask[PURPLE], state.vmask[BLUE]
         colored = vp | vb
@@ -437,9 +386,32 @@ class BdgGeneral(Strategy):
         raise StrategyViolation("no rule-compliant bicolored move available", state)
 
     def check_invariants(self, state, ctx):
-        _check_one_purple_per_edge(state, ctx)
+        vp = state.vmask[PURPLE]
+        for u, v in ctx.matching.pairs:
+            if vp >> u & 1 and vp >> v & 1:
+                raise StrategyViolation(
+                    f"both endpoints of matching edge ({u},{v}) are purple", state
+                )
         if state.vmask[BLUE] & ~state.dom[PURPLE]:
             raise StrategyViolation("a blue vertex has no purple vertex in reach", state)
+
+
+class BdgMatching(BdgGeneral):
+    """Perfect-matching play, which is ``bdg-general`` on a perfect matching:
+    no vertex is external, so there is no star and no external move.  When
+    the partner reply does not apply, every blue vertex is purple-dominated
+    already: its partner answered it, or that answer was illegal because it
+    was, and purple legality only shrinks.  So the blue-domination filter
+    never fires.  Skipping v for a purple partner, not for any colored one,
+    differs only when the partner is blue, and then v was that illegal
+    answer and still is."""
+
+    sid = "bdg-matching"
+
+    def prepare(self, config, graph, *, submap=None, seed=None):
+        plan = super().prepare(config, graph)
+        _require(not plan.matching.external, "graph has no perfect matching")
+        return plan
 
 
 # --- Sepy's constructions ---------------------------------------------------
@@ -573,10 +545,16 @@ def get_strategy(sid: str) -> Strategy:
     return _REGISTRY[sid]()
 
 
-def seat(strategy, role: str, config: GameConfig, graph: Graph, *, submap=None, seed=None):
-    """Seat a strategy (an id or an instance) as role on this game: refuse a
-    strategy made for the other seat, then prepare it.  Returns the strategy
-    and its per-game context."""
+def seated(strategy, role: str) -> Strategy:
+    """The strategy (an id or an instance), refused when made for the other
+    seat than role."""
     strat = get_strategy(strategy) if isinstance(strategy, str) else strategy
     _require(strat.role in (None, role), f"strategy {strat.sid} plays {strat.role}, not {role}")
+    return strat
+
+
+def seat(strategy, role: str, config: GameConfig, graph: Graph, *, submap=None, seed=None):
+    """The strategy ``seated`` as role, then prepared for this game: the
+    strategy and its per-game context."""
+    strat = seated(strategy, role)
     return strat, strat.prepare(config, graph, submap=submap, seed=seed)

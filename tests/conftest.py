@@ -62,8 +62,8 @@ def assert_state_sound(state):
     """Rule-level invariants of one state: the dominated masks match a
     recount of the colored vertices, the two win conditions never coincide,
     a Sepy win shows a monochromatic neighborhood, and in the disjoint game
-    a Dom win is well formed and an ongoing state has a move and no
-    monochromatic neighborhood."""
+    a Dom win is well formed and an ongoing state has no monochromatic
+    neighborhood and strands neither player: each can select."""
     g = state.graph
     mono = None
     for c in (PURPLE, BLUE):
@@ -85,3 +85,6 @@ def assert_state_sound(state):
         if state.winner is None:
             assert state.legal_moves(), "ongoing state with no moves"
             assert mono is None, "ongoing state already monochromatic"
+            masks = (*state.vmask, *state.dom)
+            assert all(state.rules.has_select(*masks, player) for player in (DOM, SEPY)), \
+                "a player is stranded in an ongoing disjoint game"

@@ -118,6 +118,29 @@ def test_verify_corpus(capsys):
     assert all(json.loads(line)["verified"] for line in lines)
 
 
+def test_verify_corpus_skips_the_graphs_the_strategy_does_not_fit(capsys):
+    code, out, err = run(capsys, "verify", "--strategy", "dom-start-safe", "--role", "dom",
+                         "--corpus", "connected:4", "--start", "dom")
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == 8 and all(rep["verified"] for rep in reports)
+    assert "C]" not in [rep["graph"] for rep in reports]  # C4 has no nested pair
+    assert err == "skipped C]: no pair of nested closed neighborhoods\n"
+
+
+def test_verify_corpus_the_strategy_fits_nowhere_is_not_applicable(capsys):
+    code, out, err = run(capsys, "verify", "--strategy", "ons", "--role", "dom",
+                         "--corpus", "connected:3", "--start", "dom")
+    assert code == 3 and out == ""
+    assert err.splitlines()[-1] == "not applicable: strategy ons fits no graph of corpus connected:3"
+
+
+def test_verify_corpus_in_the_wrong_seat_fails_before_any_graph(capsys):
+    code, out, err = run(capsys, "verify", "--strategy", "ons", "--role", "sepy",
+                         "--corpus", "connected:4", "--start", "sepy")
+    assert (code, out, err) == (3, "", "not applicable: strategy ons plays dom, not sepy\n")
+
+
 @pytest.mark.parametrize("spec", ["connected:1", "connected:0", "perfectmatching:1"])
 def test_verify_empty_corpus_is_a_usage_error(capsys, spec):
     code, out, err = run(capsys, "verify", "--strategy", "ons", "--role", "dom",

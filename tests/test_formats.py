@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs_st
 from domgame.formats import (
+    GENERATORS,
     MAX_INPUT_VERTICES,
     ParseError,
     emit_edge_list,
@@ -19,6 +20,7 @@ from domgame.formats import (
     resolve_generator_spec,
 )
 from domgame.graphs import (
+    Graph,
     GraphError,
     enumerate_graphs,
     gen_complete,
@@ -173,6 +175,19 @@ def test_is_generator_spec():
     assert is_generator_spec("cycle:8")
     assert is_generator_spec("union:cycle:4+path:2")
     assert not is_generator_spec("A_")
+
+
+# a spec for every generator, by its head in the table
+_SPEC_OF_HEAD = {"petersen": "petersen", "cycle:": "cycle:5", "path:": "path:3",
+                 "complete:": "complete:4", "subdiv2:": "subdiv2:cycle:3",
+                 "union:": "union:path:2+cycle:3"}
+
+
+def test_every_generator_is_a_spec_that_resolves():
+    assert set(GENERATORS) == set(_SPEC_OF_HEAD)
+    for head, spec in _SPEC_OF_HEAD.items():
+        assert spec.startswith(head) and is_generator_spec(spec)
+        assert isinstance(resolve_generator_spec(spec)[0], Graph)
 
 
 # --- fuzzing: malformed input raises only the typed errors ------------------

@@ -286,6 +286,44 @@ def test_bdg_matching_not_applicable_without_perfect_matching():
         strat.prepare(bdg(DOM), gen_path(3))
 
 
+def _matching_play(state, plan):
+    """The matching-play rule as first written: the partner reply to Sepy's
+    blue, else the least uncolored v with an uncolored partner that may take
+    purple."""
+    last = state.last_select
+    if last is not None and last[1] == BLUE and state.select_legal(plan.partner[last[0]], PURPLE):
+        return Move(plan.partner[last[0]], PURPLE)
+    colored = state.vmask[PURPLE] | state.vmask[BLUE]
+    for v in range(state.graph.n):
+        if not (colored >> v & 1 or colored >> plan.partner[v] & 1) and state.select_legal(v, PURPLE):
+            return Move(v, PURPLE)
+    return None
+
+
+@pytest.mark.parametrize("rights, dom_nodes", [("none", 5286), (SEPY, 7899)])
+def test_bdg_matching_is_matching_play(rights, dom_nodes):
+    # general play on a perfect matching moves as matching play at every Dom
+    # node reached against every Sepy line, passes included
+    strat = get_strategy("bdg-matching")
+    nodes = 0
+    for g in corpus("perfectmatching:6"):
+        for start in (DOM, SEPY):
+            cfg = bdg(start, pass_rights=rights)
+            plan = strat.prepare(cfg, g)
+            stack = [new_game(cfg, g)]
+            while stack:
+                state = stack.pop()
+                if state.actor == DOM:
+                    nodes += 1
+                    mv = strat.move(state, plan)
+                    assert mv == _matching_play(state, plan), (g.adj, state.history)
+                    children = [state.apply(mv)]
+                else:
+                    children = [child for _mv, child in state.children()]
+                stack += [child for child in children if child.winner is None]
+    assert nodes == dom_nodes
+
+
 def test_bdg_general_opens_star_center():
     g = gen_path(3)
     plan = BdgPlan.build(g)
